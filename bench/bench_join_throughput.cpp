@@ -329,13 +329,13 @@ int main(int argc, char** argv) {
 
   // Per-kernel sweep: every registry variant this host supports, pinned via
   // config, on the same self-join.  Variants the host cannot run (e.g.
-  // avx512fp16 without the ISA) are skipped loudly rather than silently
+  // avx512 without AVX-512F) are skipped loudly rather than silently
   // thinning the sweep.  These entries are new relative to the checked-in
   // baseline, so check_bench_regression.py skips them (loudly) until the
   // baseline regenerates with them present.
   std::printf("\n");
   std::vector<std::pair<std::string, Measurement>> kernel_self;
-  for (const char* name : {"scalar", "avx2", "avx512", "avx512fp16"}) {
+  for (const char* name : {"scalar", "avx2", "avx512"}) {
     if (registry.find(name) == nullptr) {
       std::fprintf(stderr,
                    "kernel %s is not supported on this host; skipping its "

@@ -6,8 +6,21 @@
 // precomputed squared norms toward zero "to match TC rounding".
 //
 // We implement RZ without touching the FPU rounding mode (which is fragile
-// under compiler reordering): compute the exact-enough result in double,
-// then truncate the double to the nearest FP32 toward zero.
+// under compiler reordering): compute the result in double (rounded to
+// nearest), then truncate that double to the nearest FP32 toward zero.
+//
+// The contract the whole pipeline reproduces is add_rz(a, b) =
+// RZ_f(RN_d(a + b)) on FP16-exact inputs.  That is NOT IEEE RZ(a + b): the
+// double sum of two floats can round when their exponents are far apart,
+// and RZ of the rounded sum can differ from RZ of the exact sum.  Example:
+// a = 2^26 (8192 * 8192), b = -2^-24 * 2^-8 = -2^-32.  The exact sum lies
+// just below 2^26, so IEEE RZ gives 2^26 - 4; but RN_d(a + b) = 2^26 (b is
+// below half an ulp of 2^26 in double), so add_rz returns 2^26.  Fasi et
+// al. report that tensor cores align addends by truncating the shifted
+// significand and normalize the sum toward zero, which drops a product that
+// far below the accumulator's ulp as well: the contract models that
+// truncated FP32 accumulator, not IEEE RZ.  On FP16-exact inputs it differs
+// from IEEE RZ only in such sub-ulp cancellations.
 
 #pragma once
 
@@ -33,8 +46,9 @@ inline float round_toward_zero(double x) {
   return f;
 }
 
-// a + b in FP32 with RZ.  Both addends must already be FP32 values; the
-// double sum is exact, so a single truncation gives the true RZ result.
+// RZ_f(RN_d(a + b)) for FP32 addends: the double sum rounds to nearest
+// (exact only when the exponents of a and b are close), then a single
+// truncation to FP32 — the accumulation step of the contract above.
 //
 // Hot-path form of round_toward_zero: when the RN conversion overshoots the
 // magnitude, stepping the float's bit pattern down by one moves it one ulp

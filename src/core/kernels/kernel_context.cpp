@@ -29,8 +29,6 @@ constexpr Variant kVariants[] = {
     {"scalar", &get_scalar, [](const CpuFeatures&) { return true; }},
     {"avx2", &rz_dot_avx2, [](const CpuFeatures& f) { return f.avx2 && f.fma; }},
     {"avx512", &rz_dot_avx512, [](const CpuFeatures& f) { return f.avx512f; }},
-    {"avx512fp16", &rz_dot_avx512fp16,
-     [](const CpuFeatures& f) { return f.avx512fp16 && f.avx512vl; }},
 };
 
 // A selection naming a variant this build/CPU cannot run falls back to the

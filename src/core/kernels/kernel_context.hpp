@@ -82,7 +82,7 @@ class KernelRegistry {
   const RzDotKernel* env_pin() const { return env_pin_; }
 
   // True iff `name` is a compiled-in variant name ("scalar", "avx2",
-  // "avx512", "avx512fp16") — independent of what this CPU supports.
+  // "avx512") — independent of what this CPU supports.
   static bool known_name(const std::string& name);
 
  private:

@@ -7,17 +7,24 @@
 // tensor-core chain of common/rounding.hpp).  This header is the single
 // home of that primitive.
 //
+// Numerical contract: on FP16-exact inputs every product is exact, and each
+// step is add_rz(acc, p) = RZ_f(RN_d(acc + p)) — the double sum rounds to
+// nearest (it is not exact in general), then a single truncation to FP32.
+// Inputs that are not FP16-exact are outside the contract.
+//
 // Shape: one call evaluates a small dense block — up to kQueryBlock query
 // rows against a packed panel of kPanelWidth corpus rows — because the RZ
 // chain is a serial data dependency per pair and the only way to go faster
 // is to run many independent chains at once.  The scalar reference keeps
-// one chain per (query, corpus) cell; the AVX2/FMA variant runs the
-// kPanelWidth chains of a query as SIMD lanes (8 corpus rows per
-// instruction instead of the historical hand-unrolled 2); the AVX512
-// variant additionally collapses the round-toward-zero step into a single
-// embedded-rounding convert.  All variants are bit-identical to the
-// sequential add_rz chain for every pair — property-tested on randomized
-// dims/strides/tails in tests/core/kernels_test.cpp.
+// one chain per (query, corpus) cell.  The SIMD variants keep the chain in
+// the double domain: each panel column is widened once and shared by every
+// query chain, and a step is an fma followed by an AND that truncates the
+// significand to 24 bits (rz_dot_avx512.cpp gives the argument that this is
+// add_rz on FP16-exact inputs).  AVX-512F runs the kPanelWidth lanes of a
+// chain as one zmm; AVX2/FMA as two ymm halves.  All variants are
+// bit-identical to the sequential add_rz chain for every pair —
+// property-tested on randomized dims/strides/tails and adversarial values
+// in tests/core/kernels_test.cpp.
 //
 // Corpus rows are packed column-interleaved (pack_panel) so the inner loop
 // issues one contiguous aligned load per dimension; the pack is amortized
@@ -45,7 +52,7 @@ inline float rz_dot_pair(const float* a, const float* b, std::size_t dims) {
   float acc = 0.0f;
   for (std::size_t k = 0; k < dims; ++k) {
     // a/b hold FP16-exact values, so the float product is exact; the
-    // accumulation rounds toward zero like the tensor core.
+    // accumulation rounds toward zero like the tensor core (add_rz).
     acc = add_rz(acc, a[k] * b[k]);
   }
   return acc;
@@ -53,9 +60,10 @@ inline float rz_dot_pair(const float* a, const float* b, std::size_t dims) {
 
 // Corpus rows per packed panel (SIMD lanes of one chain group).
 inline constexpr std::size_t kPanelWidth = 8;
-// Max query rows evaluated per call (independent chain groups in flight —
-// enough to hide the serial add_rz latency of a single group).
-inline constexpr std::size_t kQueryBlock = 4;
+// Max query rows evaluated per call (independent chain groups in flight,
+// sharing every panel column load — enough to hide the fma + and latency
+// of a single chain).
+inline constexpr std::size_t kQueryBlock = 8;
 
 // Computes acc[qi * kPanelWidth + r] = RZ-chain dot product of query row qi
 // (rows `q`, `q + q_stride`, ... for `nq` rows, 1 <= nq <= kQueryBlock)
@@ -67,7 +75,7 @@ using RzDotPanelFn = void (*)(const float* q, std::size_t q_stride,
                               std::size_t dims, float* acc);
 
 struct RzDotKernel {
-  const char* name;  // "scalar", "avx2", "avx512", "avx512fp16"
+  const char* name;  // "scalar", "avx2", "avx512"
   RzDotPanelFn dot_panel;
 };
 
@@ -88,6 +96,5 @@ const RzDotKernel& rz_dot_scalar();
 // there is no ambient process-global kernel and no mutable override.
 const RzDotKernel* rz_dot_avx2();
 const RzDotKernel* rz_dot_avx512();
-const RzDotKernel* rz_dot_avx512fp16();
 
 }  // namespace fasted::kernels

@@ -1,14 +1,13 @@
-// AVX2/FMA rz_dot variant: the kPanelWidth independent RZ chains of one
-// query become the 8 lanes of a YMM accumulator.
+// AVX2/FMA rz_dot variant: the double-domain RZ chain of the AVX-512F
+// variant (rz_dot_avx512.cpp, which carries the argument that it equals
+// add_rz on FP16-exact inputs), on two 4-double halves per query row.
 //
-// add_rz(a, b) is RZ(a + b) with a single rounding, computed exactly as the
-// scalar helper does (common/rounding.hpp): the double sum of two floats is
-// exact, the round-to-nearest narrowing may overshoot the magnitude by one
-// ulp, and stepping the float's bit pattern toward zero repairs it (which
-// also turns an overflowed infinity into FLT_MAX, the RZ overflow value).
-// The vector form mirrors that bit operation lane by lane, so the variant
-// is bit-identical to the scalar chain by construction — no rounding-mode
-// (MXCSR) games, deterministic under any compiler flags or sanitizers.
+// Each panel column is widened once into two ymm halves shared by every
+// chain in flight; a chain step is fmadd_pd + and_pd (AVX has the double
+// AND, so no integer casts are needed here).  A query row takes two ymm
+// accumulators, so one pass runs at most kSubBlock = 4 rows (8 accumulators
+// + 2 column halves + broadcast + mask fit the 16 ymm registers); a full
+// kQueryBlock runs as 4-row sub-blocks, since 8 rows spill.
 //
 // This file is compiled with -mavx2 -mfma on x86-64 (see CMakeLists.txt);
 // everywhere else it degrades to a nullptr stub and dispatch stays scalar.
@@ -19,75 +18,66 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <utility>
+
 namespace fasted::kernels {
 namespace {
 
-// Lane-wise add_rz: 8 chains advance one term per call.
-inline __m256 add_rz8(__m256 acc, __m256 prod) {
-  const __m256d a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(acc));
-  const __m256d a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(acc, 1));
-  const __m256d p_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(prod));
-  const __m256d p_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(prod, 1));
-  const __m256d s_lo = _mm256_add_pd(a_lo, p_lo);  // exact
-  const __m256d s_hi = _mm256_add_pd(a_hi, p_hi);
-  const __m128 f_lo = _mm256_cvtpd_ps(s_lo);  // round-to-nearest
-  const __m128 f_hi = _mm256_cvtpd_ps(s_hi);
-  // Overshoot mask per 64-bit lane: |RN(s)| > |s|.
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const __m256d over_lo =
-      _mm256_cmp_pd(_mm256_and_pd(_mm256_cvtps_pd(f_lo), abs_mask),
-                    _mm256_and_pd(s_lo, abs_mask), _CMP_GT_OQ);
-  const __m256d over_hi =
-      _mm256_cmp_pd(_mm256_and_pd(_mm256_cvtps_pd(f_hi), abs_mask),
-                    _mm256_and_pd(s_hi, abs_mask), _CMP_GT_OQ);
-  // Compress each 64-bit mask to the matching 32-bit float lane (pick the
-  // low word of every mask) and add it: all-ones is -1, stepping the float
-  // bit pattern one ulp toward zero for either sign.
-  const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-  const __m128i m_lo = _mm256_castsi256_si128(
-      _mm256_permutevar8x32_epi32(_mm256_castpd_si256(over_lo), pick));
-  const __m128i m_hi = _mm256_castsi256_si128(
-      _mm256_permutevar8x32_epi32(_mm256_castpd_si256(over_hi), pick));
-  const __m128i r_lo = _mm_add_epi32(_mm_castps_si128(f_lo), m_lo);
-  const __m128i r_hi = _mm_add_epi32(_mm_castps_si128(f_hi), m_hi);
-  return _mm256_set_m128(_mm_castsi128_ps(r_hi), _mm_castsi128_ps(r_lo));
+inline constexpr std::size_t kSubBlock = 4;
+
+// Truncates each double lane's significand to FP32 precision (toward zero).
+inline __m256d truncate_to_f32(__m256d x) {
+  const __m256d keep = _mm256_castsi256_pd(
+      _mm256_set1_epi64x(~((std::int64_t{1} << 29) - 1)));
+  return _mm256_and_pd(x, keep);
 }
+
+template <std::size_t R>
+void chain_block(const float* q, std::size_t q_stride, const float* panel,
+                 std::size_t dims, float* acc) {
+  __m256d lo[R];
+  __m256d hi[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    lo[r] = _mm256_setzero_pd();
+    hi[r] = _mm256_setzero_pd();
+  }
+  for (std::size_t k = 0; k < dims; ++k) {
+    const float* c = panel + k * kPanelWidth;
+    const __m256d col_lo = _mm256_cvtps_pd(_mm_loadu_ps(c));
+    const __m256d col_hi = _mm256_cvtps_pd(_mm_loadu_ps(c + 4));
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256d qk = _mm256_set1_pd(q[r * q_stride + k]);
+      lo[r] = truncate_to_f32(_mm256_fmadd_pd(qk, col_lo, lo[r]));
+      hi[r] = truncate_to_f32(_mm256_fmadd_pd(qk, col_hi, hi[r]));
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    _mm_storeu_ps(acc + r * kPanelWidth, _mm256_cvtpd_ps(lo[r]));
+    _mm_storeu_ps(acc + r * kPanelWidth + 4, _mm256_cvtpd_ps(hi[r]));
+  }
+}
+
+using BlockFn = void (*)(const float*, std::size_t, const float*, std::size_t,
+                         float*);
+
+template <std::size_t... I>
+constexpr std::array<BlockFn, sizeof...(I)> make_blocks(
+    std::index_sequence<I...>) {
+  return {&chain_block<I + 1>...};
+}
+
+// kBlocks[n - 1] runs n chains in one pass over the panel, n <= kSubBlock.
+constexpr auto kBlocks = make_blocks(std::make_index_sequence<kSubBlock>{});
 
 void dot_panel_avx2(const float* q, std::size_t q_stride, std::size_t nq,
                     const float* panel, std::size_t dims, float* acc) {
-  if (nq == kQueryBlock) {
-    // Four query chains share every panel load; the independent chains keep
-    // the long add_rz8 latency chain fed.
-    const float* q0 = q;
-    const float* q1 = q + q_stride;
-    const float* q2 = q + 2 * q_stride;
-    const float* q3 = q + 3 * q_stride;
-    __m256 a0 = _mm256_setzero_ps();
-    __m256 a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps();
-    __m256 a3 = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < dims; ++k) {
-      const __m256 col = _mm256_loadu_ps(panel + k * kPanelWidth);
-      a0 = add_rz8(a0, _mm256_mul_ps(_mm256_set1_ps(q0[k]), col));
-      a1 = add_rz8(a1, _mm256_mul_ps(_mm256_set1_ps(q1[k]), col));
-      a2 = add_rz8(a2, _mm256_mul_ps(_mm256_set1_ps(q2[k]), col));
-      a3 = add_rz8(a3, _mm256_mul_ps(_mm256_set1_ps(q3[k]), col));
-    }
-    _mm256_storeu_ps(acc, a0);
-    _mm256_storeu_ps(acc + kPanelWidth, a1);
-    _mm256_storeu_ps(acc + 2 * kPanelWidth, a2);
-    _mm256_storeu_ps(acc + 3 * kPanelWidth, a3);
-    return;
-  }
-  for (std::size_t qi = 0; qi < nq; ++qi) {
-    const float* query = q + qi * q_stride;
-    __m256 a = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < dims; ++k) {
-      const __m256 col = _mm256_loadu_ps(panel + k * kPanelWidth);
-      a = add_rz8(a, _mm256_mul_ps(_mm256_set1_ps(query[k]), col));
-    }
-    _mm256_storeu_ps(acc + qi * kPanelWidth, a);
+  for (std::size_t i = 0; i < nq; i += kSubBlock) {
+    const std::size_t n = std::min(kSubBlock, nq - i);
+    kBlocks[n - 1](q + i * q_stride, q_stride, panel, dims,
+                   acc + i * kPanelWidth);
   }
 }
 

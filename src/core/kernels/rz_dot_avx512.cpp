@@ -1,15 +1,33 @@
-// AVX-512F rz_dot variant: the whole add_rz step collapses to three
-// instructions per 8 lanes.
+// AVX-512F rz_dot variant: the RZ chain kept in the double domain.
 //
-// The chain sum of two floats is exact in double (cvtps_pd + add_pd), and
-// EVEX embedded rounding converts it back to FP32 rounding toward zero in
-// one instruction — exactly the single-rounding RZ(a + b) the scalar
-// add_rz computes, including the FLT_MAX overflow clamp, with no MXCSR
-// manipulation.  Bit-identical to the scalar chain; property-tested in
+// Each packed panel column is widened to 8 doubles once and shared by every
+// query chain in flight; one chain step is then an fma and an AND:
+//
+//   acc = fma_pd(double(q[k]), col, acc) & ~(2^29 - 1)
+//
+// Why that is add_rz (common/rounding.hpp), bit for bit, on FP16-exact
+// inputs:
+//  * the product of two FP16-exact values has at most 22 significant bits,
+//    so it is exact in double (and equal to the float product add_rz sees);
+//  * the fma therefore returns RN_d(acc + p), the same double sum add_rz
+//    forms before its single narrowing;
+//  * every FP16-exact value is a multiple of 2^-24, so every product and
+//    every truncated partial sum is a multiple of 2^-48, and a product
+//    is at most 65504^2 < 2^32, so nonzero partial sums stay within
+//    [2^-48, FLT_MAX) for any dims below 2^96.  In that range a double's
+//    exponent is a normal float exponent, and clearing the low 29 of its
+//    52 mantissa bits truncates the significand to FP32's 24 bits: exactly
+//    RZ_f.  The final cvtpd_ps is then exact.
+// Outside that range (inputs that are not FP16-exact, or a sum at or past
+// FLT_MAX, where add_rz clamps) the mask chain is NOT add_rz; the kernel
+// contract (rz_dot.hpp) only admits FP16-exact inputs.
+//
+// The chain latency is fma + and (~5 cycles) instead of cvt + add + cvt
+// (~18), and kQueryBlock chains share every widened column.  The AND goes
+// through integer casts because _mm512_and_pd needs AVX512DQ and this file
+// is built with -mavx512f only (see CMakeLists.txt); elsewhere it is a
+// nullptr stub.  Bit-identity with the scalar chain is property-tested in
 // tests/core/kernels_test.cpp.
-//
-// Compiled with -mavx512f on x86-64 (see CMakeLists.txt); elsewhere this
-// is a nullptr stub.
 
 #include "core/kernels/rz_dot.hpp"
 
@@ -17,48 +35,69 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <utility>
+
 namespace fasted::kernels {
 namespace {
 
-inline __m256 add_rz8(__m256 acc, __m256 prod) {
-  const __m512d s =
-      _mm512_add_pd(_mm512_cvtps_pd(acc), _mm512_cvtps_pd(prod));  // exact
-  return _mm512_cvt_roundpd_ps(s, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+// Truncates each double lane's significand to FP32 precision (toward zero).
+inline __m512d truncate_to_f32(__m512d x) {
+  const __m512i keep = _mm512_set1_epi64(~((std::int64_t{1} << 29) - 1));
+  return _mm512_castsi512_pd(_mm512_and_epi64(_mm512_castpd_si512(x), keep));
 }
+
+// Query dimensions widened per pass (R rows of them: 4 KiB of L1 at R = 8).
+inline constexpr std::size_t kChunk = 64;
+
+// R query rows against one panel: R independent zmm chains share each
+// widened column.  The query rows are widened to double a chunk at a time,
+// so each step's broadcast folds into the fma as an embedded {1to8} memory
+// operand instead of costing a convert and a shuffle per row and dimension
+// (~1.4x at R = 8, d = 128 on a 4-core AVX-512 Xeon).
+template <std::size_t R>
+void chain_block(const float* q, std::size_t q_stride, const float* panel,
+                 std::size_t dims, float* acc) {
+  alignas(64) double qd[R][kChunk];
+  __m512d a[R];
+  for (std::size_t r = 0; r < R; ++r) a[r] = _mm512_setzero_pd();
+  for (std::size_t k0 = 0; k0 < dims; k0 += kChunk) {
+    const std::size_t n = std::min(kChunk, dims - k0);
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t k = 0; k < n; ++k) qd[r][k] = q[r * q_stride + k0 + k];
+    }
+    const float* cols = panel + k0 * kPanelWidth;
+    for (std::size_t k = 0; k < n; ++k) {
+      const __m512d col =
+          _mm512_cvtps_pd(_mm256_loadu_ps(cols + k * kPanelWidth));
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m512d qk = _mm512_set1_pd(qd[r][k]);
+        a[r] = truncate_to_f32(_mm512_fmadd_pd(qk, col, a[r]));
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    _mm256_storeu_ps(acc + r * kPanelWidth, _mm512_cvtpd_ps(a[r]));
+  }
+}
+
+using BlockFn = void (*)(const float*, std::size_t, const float*, std::size_t,
+                         float*);
+
+template <std::size_t... I>
+constexpr std::array<BlockFn, sizeof...(I)> make_blocks(
+    std::index_sequence<I...>) {
+  return {&chain_block<I + 1>...};
+}
+
+// kBlocks[n - 1] runs n chains in one pass over the panel, n <= kQueryBlock.
+constexpr auto kBlocks = make_blocks(std::make_index_sequence<kQueryBlock>{});
 
 void dot_panel_avx512(const float* q, std::size_t q_stride, std::size_t nq,
                       const float* panel, std::size_t dims, float* acc) {
-  if (nq == kQueryBlock) {
-    const float* q0 = q;
-    const float* q1 = q + q_stride;
-    const float* q2 = q + 2 * q_stride;
-    const float* q3 = q + 3 * q_stride;
-    __m256 a0 = _mm256_setzero_ps();
-    __m256 a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps();
-    __m256 a3 = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < dims; ++k) {
-      const __m256 col = _mm256_loadu_ps(panel + k * kPanelWidth);
-      a0 = add_rz8(a0, _mm256_mul_ps(_mm256_set1_ps(q0[k]), col));
-      a1 = add_rz8(a1, _mm256_mul_ps(_mm256_set1_ps(q1[k]), col));
-      a2 = add_rz8(a2, _mm256_mul_ps(_mm256_set1_ps(q2[k]), col));
-      a3 = add_rz8(a3, _mm256_mul_ps(_mm256_set1_ps(q3[k]), col));
-    }
-    _mm256_storeu_ps(acc, a0);
-    _mm256_storeu_ps(acc + kPanelWidth, a1);
-    _mm256_storeu_ps(acc + 2 * kPanelWidth, a2);
-    _mm256_storeu_ps(acc + 3 * kPanelWidth, a3);
-    return;
-  }
-  for (std::size_t qi = 0; qi < nq; ++qi) {
-    const float* query = q + qi * q_stride;
-    __m256 a = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < dims; ++k) {
-      const __m256 col = _mm256_loadu_ps(panel + k * kPanelWidth);
-      a = add_rz8(a, _mm256_mul_ps(_mm256_set1_ps(query[k]), col));
-    }
-    _mm256_storeu_ps(acc + qi * kPanelWidth, a);
-  }
+  kBlocks[nq - 1](q, q_stride, panel, dims, acc);
 }
 
 const RzDotKernel kAvx512{"avx512", &dot_panel_avx512};

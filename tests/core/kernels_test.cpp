@@ -1,7 +1,8 @@
 // The unified execution layer's contracts:
 //  * every rz_dot variant (scalar, AVX2, AVX512 — whichever this CPU runs)
 //    is bit-identical to the sequential add_rz chain on randomized
-//    dims/strides/tail widths/query counts,
+//    dims/strides/tail widths, at every query count, and on adversarial
+//    values (sub-ulp cancellation, FP16 subnormals, +-65504, long rows),
 //  * pack_panel zero-fills tail lanes,
 //  * the three ResultSinks (count-only, CSR, streaming) agree pair-for-pair
 //    through the public join APIs, on both kernel paths.
@@ -14,9 +15,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +32,7 @@
 #include "core/kernels/result_sink.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
+#include "tune/schedule.hpp"
 
 namespace fasted {
 namespace {
@@ -46,45 +50,142 @@ std::vector<float> fp16_exact_values(Rng& rng, std::size_t count,
   return out;
 }
 
-TEST(RzDotKernels, AllVariantsMatchScalarChainOnRandomizedShapes) {
-  Rng rng(2025);
-  const auto& kernels_list = kernels::KernelRegistry::global().supported();
-  ASSERT_GE(kernels_list.size(), 1u);
+// Packs `nrows` corpus rows and checks every supported kernel, at every
+// nq in 1..kQueryBlock, bit for bit against rz_dot_pair — so a kernel that
+// special-cases one block size cannot hide a wrong chain in another.
+// `queries` holds kQueryBlock rows; a call with nq reads the first nq.
+void expect_all_kernels_match_pair_chain(const std::vector<float>& queries,
+                                         const std::vector<float>& corpus,
+                                         std::size_t stride, std::size_t nrows,
+                                         std::size_t dims,
+                                         const std::string& label) {
+  ASSERT_GE(queries.size(), kQueryBlock * stride);
+  std::vector<float> expect(kQueryBlock * kPanelWidth, 0.0f);
+  for (std::size_t qi = 0; qi < kQueryBlock; ++qi) {
+    for (std::size_t r = 0; r < nrows; ++r) {
+      expect[qi * kPanelWidth + r] = kernels::rz_dot_pair(
+          queries.data() + qi * stride, corpus.data() + r * stride, dims);
+    }
+  }
+  std::vector<float> panel(dims * kPanelWidth);
+  kernels::pack_panel(corpus.data(), stride, nrows, dims, panel.data());
 
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t dims = 1 + rng.next_u64() % 130;
-    const std::size_t stride = dims + rng.next_u64() % 9;  // padded rows
-    const std::size_t nrows = 1 + rng.next_u64() % kPanelWidth;
-    const std::size_t nq = 1 + rng.next_u64() % kQueryBlock;
-    // Mostly unit-scale data; occasionally large magnitudes so the RZ
-    // overshoot/overflow repair path is exercised in every lane.
-    const double mag = trial % 7 == 0 ? 6.0e4 : 2.0;
-
-    const auto corpus = fp16_exact_values(rng, nrows * stride, mag);
-    const auto queries = fp16_exact_values(rng, nq * stride, mag);
-
-    std::vector<float> panel(dims * kPanelWidth);
-    kernels::pack_panel(corpus.data(), stride, nrows, dims, panel.data());
-
-    for (const kernels::RzDotKernel* kern : kernels_list) {
+  for (const kernels::RzDotKernel* kern :
+       kernels::KernelRegistry::global().supported()) {
+    for (std::size_t nq = 1; nq <= kQueryBlock; ++nq) {
       std::vector<float> acc(nq * kPanelWidth, -1.0f);
       kern->dot_panel(queries.data(), stride, nq, panel.data(), dims,
                       acc.data());
-      for (std::size_t qi = 0; qi < nq; ++qi) {
-        for (std::size_t r = 0; r < kPanelWidth; ++r) {
-          const float expect =
-              r < nrows ? kernels::rz_dot_pair(queries.data() + qi * stride,
-                                               corpus.data() + r * stride, dims)
-                        : 0.0f;
-          const float got = acc[qi * kPanelWidth + r];
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(expect),
-                    std::bit_cast<std::uint32_t>(got))
-              << kern->name << " trial " << trial << " dims " << dims
-              << " stride " << stride << " nrows " << nrows << " q " << qi
-              << " lane " << r << " expect " << expect << " got " << got;
-        }
+      for (std::size_t i = 0; i < acc.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(expect[i]),
+                  std::bit_cast<std::uint32_t>(acc[i]))
+            << label << ": " << kern->name << " nq " << nq << " dims "
+            << dims << " stride " << stride << " nrows " << nrows << " q "
+            << i / kPanelWidth << " lane " << i % kPanelWidth << " expect "
+            << expect[i] << " got " << acc[i];
       }
     }
+  }
+}
+
+TEST(RzDotKernels, AllVariantsMatchScalarChainOnRandomizedShapes) {
+  Rng rng(2025);
+  ASSERT_GE(kernels::KernelRegistry::global().supported().size(), 1u);
+
+  for (int trial = 0; trial < 200; ++trial) {
+    // Mostly short rows; every tenth trial is long (512..1023 dims) so the
+    // kernels' dimension chunking and long chains are covered too.
+    const std::size_t dims = trial % 10 == 9 ? 512 + rng.next_u64() % 512
+                                             : 1 + rng.next_u64() % 130;
+    const std::size_t stride = dims + rng.next_u64() % 9;  // padded rows
+    const std::size_t nrows = 1 + rng.next_u64() % kPanelWidth;
+    // Mostly unit-scale data; occasionally large magnitudes so the RZ
+    // truncation is exercised at every exponent in every lane.
+    const double mag = trial % 7 == 0 ? 6.0e4 : 2.0;
+
+    const auto corpus = fp16_exact_values(rng, nrows * stride, mag);
+    const auto queries = fp16_exact_values(rng, kQueryBlock * stride, mag);
+    expect_all_kernels_match_pair_chain(queries, corpus, stride, nrows, dims,
+                                        "trial " + std::to_string(trial));
+    if (HasFatalFailure()) return;
+  }
+}
+
+// Corner cases of the contract RZ_f(RN_d(acc + p)) (common/rounding.hpp)
+// that random data almost never reaches.
+TEST(RzDotKernels, AllVariantsMatchScalarChainOnAdversarialValues) {
+  const float two_m24 = std::ldexp(1.0f, -24);  // smallest FP16 subnormal
+  const float fp16_max = 65504.0f;
+
+  // A 2^26 accumulator (8192 * 8192) followed by a -2^-24 * 2^-8 product:
+  // RN_d(2^26 - 2^-32) is 2^26, so the chain returns 2^26 where IEEE RZ of
+  // the exact sum would give 2^26 - 4.  Every lane and query row carries
+  // the same case.
+  {
+    const std::size_t dims = 2;
+    std::vector<float> queries, corpus;
+    for (std::size_t i = 0; i < kQueryBlock; ++i) {
+      queries.insert(queries.end(), {8192.0f, -two_m24});
+    }
+    for (std::size_t i = 0; i < kPanelWidth; ++i) {
+      corpus.insert(corpus.end(), {8192.0f, std::ldexp(1.0f, -8)});
+    }
+    const float pair =
+        kernels::rz_dot_pair(queries.data(), corpus.data(), dims);
+    EXPECT_EQ(pair, std::ldexp(1.0f, 26));
+    expect_all_kernels_match_pair_chain(queries, corpus, dims, kPanelWidth,
+                                        dims, "2^26 then -2^-32");
+  }
+
+  // FP16 subnormal x subnormal: products down to 2^-48, the bottom of the
+  // double-domain chain's validity range, with mixed signs so partial sums
+  // cancel.
+  {
+    const std::size_t dims = 37;
+    const std::size_t rows = std::max(kQueryBlock, kPanelWidth);
+    std::vector<float> values(rows * dims);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const float mant = static_cast<float>(1 + (i * 389) % 1023);
+      values[i] = (i % 3 == 0 ? -1.0f : 1.0f) * mant * two_m24;
+      ASSERT_EQ(quantize_fp16(values[i]), values[i]);
+    }
+    EXPECT_EQ(kernels::rz_dot_pair(values.data(), values.data(), 1),
+              two_m24 * two_m24);
+    expect_all_kernels_match_pair_chain(values, values, dims, kPanelWidth,
+                                        dims, "subnormal x subnormal");
+  }
+
+  // +-65504 extremes: mixed-sign products near +-2^32, interleaved with
+  // tiny products (down to 2^-24 * 2^-14) far below the accumulator's ulp.
+  {
+    const std::size_t dims = 96;
+    const std::size_t rows = std::max(kQueryBlock, kPanelWidth);
+    std::vector<float> values(rows * dims);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const std::size_t pattern = (i * 7 + i / dims) % 5;
+      values[i] = pattern == 0   ? fp16_max
+                  : pattern == 1 ? -fp16_max
+                  : pattern == 2 ? two_m24
+                  : pattern == 3 ? -1024.0f * two_m24
+                                 : 1.0f;
+    }
+    expect_all_kernels_match_pair_chain(values, values, dims, kPanelWidth,
+                                        dims, "+-65504 extremes");
+  }
+
+  // Long chains: mixed scales over dims up to 4096.
+  Rng rng(4096);
+  for (const std::size_t dims : {1000u, 2048u, 4096u}) {
+    const std::size_t rows = std::max(kQueryBlock, kPanelWidth);
+    std::vector<float> values(rows * dims);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const double scale = i % 4 == 0 ? 6.0e4 : i % 4 == 1 ? 1.0e-6 : 1.0;
+      values[i] =
+          quantize_fp16(static_cast<float>(rng.uniform(-scale, scale)));
+    }
+    expect_all_kernels_match_pair_chain(values, values, dims, kPanelWidth,
+                                        dims,
+                                        "dims " + std::to_string(dims));
   }
 }
 
@@ -126,6 +227,28 @@ TEST(RzDotKernels, RegistryResolvesKnownVariantsOnly) {
   EXPECT_TRUE(kernels::kernel_selection_known("scalar"));
   EXPECT_TRUE(kernels::kernel_selection_known("scalar,auto"));
   EXPECT_FALSE(kernels::kernel_selection_known("scalar,bogus"));
+}
+
+TEST(RzDotKernels, RetiredFp16VariantNameIsRejectedAtLoad) {
+  // The AVX-512 FP16 variant was retired when the double-domain chain
+  // superseded it.  A persisted schedule or config that still names it must
+  // fail at load, not silently run whichever kernel auto selection picks.
+  // (The name is assembled so that no live reference to it remains.)
+  const std::string retired = std::string("avx512") + "fp16";
+  EXPECT_FALSE(kernels::KernelRegistry::known_name(retired));
+  EXPECT_FALSE(kernels::kernel_selection_known(retired));
+  EXPECT_FALSE(kernels::kernel_selection_known("scalar," + retired));
+  EXPECT_EQ(kernels::KernelRegistry::global().find(retired), nullptr);
+
+  FastedConfig cfg = FastedConfig::paper_defaults();
+  cfg.rz_kernel = retired;
+  EXPECT_THROW(cfg.validate(), CheckError);
+  EXPECT_THROW(FastedEngine{cfg}, CheckError);
+
+  tune::Schedule schedule;
+  schedule.kernel = retired;
+  EXPECT_FALSE(schedule.valid(FastedConfig::paper_defaults()));
+  EXPECT_THROW(tune::Schedule::from_json(schedule.json()), CheckError);
 }
 
 TEST(RzDotKernels, ScalarConfigReproducesAutoSelectedJoinExactly) {
