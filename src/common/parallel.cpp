@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -32,7 +31,6 @@ std::size_t default_thread_count() {
 // run inline instead of deadlocking on the group job locks; t_route is the
 // DomainGuard redirection (-1: none).
 thread_local std::size_t t_domain = 0;
-thread_local bool t_worker = false;
 thread_local bool t_in_job = false;
 thread_local long t_route = -1;
 
@@ -57,7 +55,6 @@ struct ThreadPool::Impl {
     bool stop = false;
     std::vector<std::thread> workers;
     std::size_t slots = 0;  // workers + (group 0 only) the caller
-    std::unique_ptr<DomainArena> arena;
     // Intersection of this group's per-worker cpuid probes (written under
     // Impl::probe_mutex during construction, immutable afterwards).
     CpuFeatures features = CpuFeatures::all();
@@ -111,25 +108,15 @@ struct ThreadPool::Impl {
     }
   };
 
-  // Each arena commit carries its owning pool + domain so the zero-touch
-  // runs on that domain's pinned workers.
-  struct ArenaCtx {
-    ThreadPool* pool;
-    std::size_t domain;
-  };
-
   Topology topo;
   std::uint64_t id = 0;
   std::deque<Group> groups;  // stable addresses (workers hold pointers)
-  std::deque<ArenaCtx> arena_ctxs;
   // Feature-probe rendezvous: each spawned worker probes cpuid once after
   // pinning and ANDs into its group; the constructor waits for all probes
   // so domain_features() is immutable from then on.
   std::mutex probe_mutex;
   std::condition_variable probe_cv;
   std::size_t probes_pending = 0;
-
-  static void arena_commit(void* ptr, std::size_t bytes, void* ctx);
 };
 
 namespace {
@@ -140,15 +127,6 @@ std::uint64_t next_pool_id() {
 }
 
 }  // namespace
-
-void ThreadPool::Impl::arena_commit(void* ptr, std::size_t bytes, void* ctx) {
-  auto* ac = static_cast<ArenaCtx*>(ctx);
-  std::byte* base = static_cast<std::byte*>(ptr);
-  ac->pool->run_on_domain(ac->domain, 0, bytes, [&](std::size_t lo,
-                                                    std::size_t hi) {
-    std::memset(base + lo, 0, hi - lo);
-  });
-}
 
 ThreadPool::ThreadPool(std::size_t threads, const Topology* topology)
     : impl_(new Impl) {
@@ -179,7 +157,6 @@ ThreadPool::ThreadPool(std::size_t threads, const Topology* topology)
     for (std::size_t w = 0; w < spawn; ++w) {
       g.workers.emplace_back([this, d, &g] {
         t_domain = d;
-        t_worker = true;
         Topology::pin_current_thread(impl_->topo.domain(d));
         {
           const CpuFeatures probed = probe_cpu_features();
@@ -205,11 +182,6 @@ ThreadPool::ThreadPool(std::size_t threads, const Topology* topology)
   {
     std::unique_lock<std::mutex> lock(impl_->probe_mutex);
     impl_->probe_cv.wait(lock, [&] { return impl_->probes_pending == 0; });
-  }
-  for (std::size_t d = 0; d < ndom; ++d) {
-    impl_->arena_ctxs.push_back(Impl::ArenaCtx{this, d});
-    impl_->groups[d].arena = std::make_unique<DomainArena>(
-        &Impl::arena_commit, &impl_->arena_ctxs.back());
   }
 }
 
@@ -247,15 +219,9 @@ CpuFeatures ThreadPool::domain_features(std::size_t domain) const {
 
 std::size_t ThreadPool::current_domain() { return t_domain; }
 
-bool ThreadPool::current_is_worker() { return t_worker; }
-
 bool ThreadPool::dispatch_confined() { return t_in_job || t_route >= 0; }
 
 std::uint64_t ThreadPool::instance_id() const { return impl_->id; }
-
-DomainArena& ThreadPool::domain_arena(std::size_t domain) {
-  return *impl_->groups[domain % impl_->groups.size()].arena;
-}
 
 void ThreadPool::add_domain_load(std::size_t domain, std::uint64_t drained,
                                  std::uint64_t stolen, std::uint64_t drain_ns,

@@ -100,12 +100,6 @@ class ThreadPool {
   // 0 for everything else (the caller participates in domain 0's drains).
   static std::size_t current_domain();
 
-  // True only on the pool's own spawned worker threads (not on callers
-  // participating in a drain).  Long-lived per-thread caches keyed to pool
-  // resources (executor scratch) are only safe on workers — their count is
-  // bounded and they die with the pool.
-  static bool current_is_worker();
-
   // True when a parallel_for issued from this thread would NOT fan out
   // across all domains — inside a chunk body (inline execution) or under a
   // DomainGuard (routed to one domain).  Multi-domain consumers that
@@ -129,13 +123,8 @@ class ThreadPool {
   void run_on_domain(std::size_t domain, std::size_t begin, std::size_t end,
                      const std::function<void(std::size_t, std::size_t)>& body);
 
-  // Per-domain first-touch arena: pages of fresh blocks are zeroed by the
-  // domain's own workers (common/topology.hpp).  The arena lives as long as
-  // the pool; executor scratch caches its slices across joins.
-  DomainArena& domain_arena(std::size_t domain);
-
-  // Monotonically increasing per-construction id — caches keyed on pool
-  // memory (thread-local arena slices) use it to notice reset_global().
+  // Monotonically increasing per-construction id — DomainLoadSnapshot
+  // baselines use it to notice reset_global().
   std::uint64_t instance_id() const;
 
   // Per-domain drain/steal accounting (see DomainLoad).  add_domain_load is

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -160,55 +159,6 @@ bool Topology::pin_current_thread(const ExecutionDomain& domain) {
                  "domain (restricted cpuset?); continuing unpinned\n");
   }
   return false;
-}
-
-void* DomainArena::allocate(std::size_t bytes, std::size_t align) {
-  if (bytes == 0) bytes = 1;
-  for (;;) {
-    std::size_t grow = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!blocks_.empty()) {
-        Block& block = blocks_.back();
-        // Align the absolute address (operator new[] only guarantees
-        // fundamental alignment on the block base).
-        const auto base = reinterpret_cast<std::uintptr_t>(block.data.get());
-        const std::size_t at =
-            ((base + block.used + align - 1) / align) * align - base;
-        if (at + bytes <= block.size) {
-          block.used = at + bytes;
-          return block.data.get() + at;
-        }
-      }
-      grow = std::max(next_block_, bytes + align);
-      next_block_ = grow * 2;
-    }
-    // Build and commit the fresh block OUTSIDE the arena lock: the commit
-    // function may submit a pool job (the first-touch pass), and holding
-    // the lock across it could deadlock against a pool worker allocating
-    // scratch.  A racing allocator may push its own block first — the
-    // loser's block simply becomes the new bump target and the loop
-    // retries; the waste is bounded by one block per race.
-    Block block;
-    // Default-init (for_overwrite): the pages stay untouched until `commit`
-    // zeroes them, so physical placement follows the committing thread.
-    block.data = std::make_unique_for_overwrite<std::byte[]>(grow);
-    block.size = grow;
-    if (commit_ != nullptr) {
-      commit_(block.data.get(), grow, ctx_);
-    } else {
-      std::memset(block.data.get(), 0, grow);
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    blocks_.push_back(std::move(block));
-  }
-}
-
-std::size_t DomainArena::bytes_reserved() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t total = 0;
-  for (const Block& b : blocks_) total += b.size;
-  return total;
 }
 
 }  // namespace fasted

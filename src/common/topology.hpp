@@ -31,8 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -110,42 +108,6 @@ class Topology {
  private:
   std::vector<ExecutionDomain> domains_;
   bool synthetic_ = false;
-};
-
-// A per-domain first-touch arena: page-aligned bump allocation whose backing
-// pages are committed (zero-written, hence physically placed) by a
-// caller-supplied commit function — the partitioned ThreadPool passes one
-// that touches the pages on the owning domain's pinned workers, so every
-// later reader inside the domain hits node-local memory.  Allocations are
-// freed only by destroying the arena (scratch buffers cache their slice and
-// grow geometrically, so churn is bounded).  Thread-safe.
-class DomainArena {
- public:
-  // `commit(ptr, bytes)` must zero the range; it runs once per fresh block.
-  using CommitFn = void (*)(void* ptr, std::size_t bytes, void* ctx);
-
-  explicit DomainArena(CommitFn commit = nullptr, void* ctx = nullptr)
-      : commit_(commit), ctx_(ctx) {}
-
-  // Aligned bump allocation out of the current block; new blocks are sized
-  // max(2x previous, bytes) and committed through `commit`.  The returned
-  // memory is zeroed.
-  void* allocate(std::size_t bytes, std::size_t align = 64);
-
-  std::size_t bytes_reserved() const;
-
- private:
-  struct Block {
-    std::unique_ptr<std::byte[]> data;
-    std::size_t size = 0;
-    std::size_t used = 0;
-  };
-
-  CommitFn commit_ = nullptr;
-  void* ctx_ = nullptr;
-  mutable std::mutex mutex_;
-  std::vector<Block> blocks_;
-  std::size_t next_block_ = 1 << 16;
 };
 
 }  // namespace fasted

@@ -66,6 +66,32 @@ void query_row_join(const float* query, float query_norm,
   }
 }
 
+void query_row_join(const float* query, float query_norm,
+                    const PreparedDataset& corpus, float eps2,
+                    const kernels::RzDotKernel& kern,
+                    std::vector<QueryMatch>& out) {
+  using kernels::kMultiPanel;
+  using kernels::kPanelWidth;
+  constexpr std::size_t kStep = kMultiPanel * kPanelWidth;
+  const std::size_t dims = corpus.values().stride();
+  const std::vector<float>& norms = corpus.norms();
+  float acc[kStep];
+  for (std::size_t j0 = 0; j0 < corpus.rows(); j0 += kStep) {
+    const std::size_t width = std::min(kStep, corpus.rows() - j0);
+    kern.dot_row(query,
+                 corpus.panels().data() +
+                     j0 / kPanelWidth * corpus.panel_floats(),
+                 (width + kPanelWidth - 1) / kPanelWidth, dims, acc);
+    for (std::size_t r = 0; r < width; ++r) {
+      const std::size_t j = j0 + r;
+      const float d2 = epilogue_dist2(acc[r], query_norm, norms[j]);
+      if (d2 <= eps2) {
+        out.push_back(QueryMatch{static_cast<std::uint32_t>(j), d2});
+      }
+    }
+  }
+}
+
 FastedEngine::FastedEngine(FastedConfig config) : config_(std::move(config)) {
   config_.validate();
 }
@@ -107,7 +133,21 @@ PreparedShards prepare_shards(const MatrixF32& data, std::size_t shards,
 PreparedDataset::PreparedDataset(const MatrixF32& data)
     : fp16_(to_fp16(data)),
       dequant_(to_fp32(fp16_)),
-      norms_(squared_norms_fp16_rz(fp16_)) {}
+      norms_(squared_norms_fp16_rz(fp16_)) {
+  pack_panels();
+}
+
+void PreparedDataset::pack_panels() {
+  using kernels::kPanelWidth;
+  const std::size_t npanels = (rows() + kPanelWidth - 1) / kPanelWidth;
+  panels_.resize(npanels * panel_floats());
+  for (std::size_t p = 0; p < npanels; ++p) {
+    const std::size_t r0 = p * kPanelWidth;
+    kernels::pack_panel(dequant_.row(r0), dequant_.stride(),
+                        std::min(kPanelWidth, rows() - r0), dequant_.stride(),
+                        panels_.data() + p * panel_floats());
+  }
+}
 
 float PreparedDataset::pair_dist2(std::size_t i, std::size_t j) const {
   return fasted_pair_dist2(dequant_.row(i), dequant_.row(j),
@@ -127,6 +167,7 @@ PreparedDataset PreparedDataset::gather(const PreparedDataset& src,
                 out.dequant_.row(a));
     out.norms_[a] = src.norms_[i];
   }
+  out.pack_panels();
   return out;
 }
 
@@ -141,6 +182,7 @@ kernels::JoinInputs join_inputs(const PreparedDataset& queries,
   in.q_norms = &queries.norms();
   in.c_values = &corpus.values();
   in.c_norms = &corpus.norms();
+  in.c_panels = &corpus.panels();
   in.q_quant = &queries.quantized();
   in.c_quant = &corpus.quantized();
   return in;

@@ -86,9 +86,10 @@ struct QueryJoinOutput {
 // The epilogue combine (paper Step 3) lives with the kernel family.
 using kernels::epilogue_dist2;
 
-// A dataset prepared for the FaSTED pipeline: FP16 quantization and the
-// squared-norm precompute (Step 1) done once, reusable across any number of
-// radius queries (eps sweeps, adaptive kNN rounds, batched joins).
+// A dataset prepared for the FaSTED pipeline: FP16 quantization, the
+// squared-norm precompute (Step 1) and the rz_dot panel packing done once,
+// reusable across any number of radius queries (eps sweeps, adaptive kNN
+// rounds, batched joins, point queries).
 class PreparedDataset {
  public:
   explicit PreparedDataset(const MatrixF32& data);
@@ -107,15 +108,28 @@ class PreparedDataset {
   const MatrixF16& quantized() const { return fp16_; }
   const std::vector<float>& norms() const { return norms_; }
 
+  // values() packed into resident rz_dot panels (kernels::pack_panel over
+  // values().stride() dims): panel p holds rows [p * kPanelWidth, ...) and
+  // starts at panel_floats() * p; the last panel's tail lanes are zero.
+  // Built once with the dataset, on the building thread (so a shard built
+  // on its owning domain first-touches its panels there), and read by every
+  // join instead of packing per tile — one extra float copy of the rows.
+  const std::vector<float>& panels() const { return panels_; }
+  std::size_t panel_floats() const {
+    return dequant_.stride() * kernels::kPanelWidth;
+  }
+
   // The FP16-32 pipeline squared distance between two prepared points.
   float pair_dist2(std::size_t i, std::size_t j) const;
 
  private:
   PreparedDataset() = default;  // for gather()
+  void pack_panels();
 
   MatrixF16 fp16_;
   MatrixF32 dequant_;
   std::vector<float> norms_;
+  std::vector<float> panels_;
 };
 
 // One shard of a sharded corpus as the engine sees it: the shard's prepared
@@ -298,11 +312,19 @@ void query_row_join(const float* query, float query_norm,
 // Same, with the kernel chosen explicitly (callers that resolved a
 // per-domain KernelContext pass the owning domain's kernel).  The
 // kernel-less overload above uses the process-wide best (or the
-// FASTED_RZ_KERNEL pin) from the immutable registry.
+// FASTED_RZ_KERNEL pin) from the immutable registry.  Both MatrixF32
+// overloads pack the corpus rows they visit on every call.
 void query_row_join(const float* query, float query_norm,
                     const MatrixF32& corpus_values,
                     const std::vector<float>& corpus_norms, std::size_t begin,
                     std::size_t end, float eps2,
+                    const kernels::RzDotKernel& kern,
+                    std::vector<QueryMatch>& out);
+
+// Same over every row of a prepared corpus, reading its resident panels
+// through the kernel's one-row multi-panel entry (no packing).
+void query_row_join(const float* query, float query_norm,
+                    const PreparedDataset& corpus, float eps2,
                     const kernels::RzDotKernel& kern,
                     std::vector<QueryMatch>& out);
 

@@ -35,36 +35,6 @@ bool steal_enabled(StealMode mode) {
            std::strcmp(env, "false") == 0);
 }
 
-// Per-thread panel scratch.  Pool workers (long-lived, bounded count, die
-// with the pool) cache an arena slice from their own domain, so packed
-// corpus panels live in node-local first-touched pages; the slice is
-// re-acquired when the global pool was rebuilt (the arena died with it) or
-// a bigger panel is needed.  Caller threads participating in a drain may
-// be short-lived (thread-per-request servers), so they use an ordinary
-// thread-local vector that frees at thread exit instead of stranding bump
-// allocations in the arena.
-float* panel_scratch(ThreadPool& pool, std::size_t floats) {
-  if (!ThreadPool::current_is_worker()) {
-    thread_local std::vector<float> caller_panel;
-    if (caller_panel.size() < floats) caller_panel.resize(floats);
-    return caller_panel.data();
-  }
-  struct Cache {
-    std::uint64_t pool_id = 0;
-    std::size_t capacity = 0;
-    float* data = nullptr;
-  };
-  thread_local Cache cache;
-  if (cache.pool_id != pool.instance_id() || cache.capacity < floats) {
-    cache.data = static_cast<float*>(
-        pool.domain_arena(ThreadPool::current_domain())
-            .allocate(floats * sizeof(float), alignof(float) * 16));
-    cache.capacity = floats;
-    cache.pool_id = pool.instance_id();
-  }
-  return cache.data;
-}
-
 }  // namespace
 
 std::uint64_t execute_join(const FastedConfig& cfg,
@@ -77,13 +47,16 @@ std::uint64_t execute_join(const FastedConfig& cfg,
     FASTED_CHECK_MSG(e.plan != nullptr, "null plan in sharded join");
     FASTED_CHECK_MSG(e.in.q_values->stride() == e.in.c_values->stride(),
                      "query/corpus stride mismatch in join executor");
-    // The per-worker panel scratch is sized once for the whole span.
-    FASTED_CHECK_MSG(
-        e.in.c_values->stride() == entries.front().in.c_values->stride(),
-        "all entries of one sharded join must share corpus dims");
     if (emulated) {
       FASTED_CHECK_MSG(e.in.q_quant != nullptr && e.in.c_quant != nullptr,
                        "emulated path needs quantized inputs");
+    } else {
+      FASTED_CHECK_MSG(e.in.c_panels != nullptr &&
+                           e.in.c_panels->size() ==
+                               (e.in.c_values->rows() + kPanelWidth - 1) /
+                                   kPanelWidth * kPanelWidth *
+                                   e.in.c_values->stride(),
+                       "fast path needs the corpus's resident panels");
     }
   }
   const bool collect = sink.wants_hits();
@@ -130,13 +103,10 @@ std::uint64_t execute_join(const FastedConfig& cfg,
     const std::size_t home = ThreadPool::current_domain() % ndom;
     std::optional<BlockTileEngine> engine;
     if (emulated) engine.emplace(cfg);
-    // Per-worker scratch: the packed corpus panel (domain-arena slice, see
-    // panel_scratch), the kernel's accumulator block, and the hit buffer.
-    // All entries of one sharded join share dims, so the panel is sized
-    // once.
-    const std::size_t dims_all = entries.front().in.c_values->stride();
-    float* panel = panel_scratch(pool, dims_all * kPanelWidth);
-    float acc[kQueryBlock * kPanelWidth];
+    // Per-worker scratch: the kernel's accumulator block and the hit
+    // buffer.  Corpus panels are resident (JoinInputs::c_panels), shared
+    // read-only by every worker: nothing is packed per tile.
+    float acc[std::max(kQueryBlock, kMultiPanel) * kPanelWidth];
     std::vector<PairHit> hits;
     std::uint64_t worker_total = 0;
     // Per-domain drain/steal tile tallies, attributed to the domain OWNING
@@ -156,10 +126,11 @@ std::uint64_t execute_join(const FastedConfig& cfg,
       const RzDotKernel& kern = ctx.kernel(entry.domain);
       JoinPlan& plan = *entry.plan;
       const MatrixF32& q = *entry.in.q_values;
-      const MatrixF32& c = *entry.in.c_values;
       const std::vector<float>& sq = *entry.in.q_norms;
       const std::vector<float>& sc = *entry.in.c_norms;
-      const std::size_t dims = c.stride();
+      const std::size_t dims = entry.in.c_values->stride();
+      const float* panels = emulated ? nullptr : entry.in.c_panels->data();
+      const std::size_t panel_floats = dims * kPanelWidth;
       const std::size_t qoff = entry.query_offset;
       const std::size_t coff = entry.corpus_offset;
       std::uint64_t local = 0;
@@ -185,6 +156,12 @@ std::uint64_t execute_join(const FastedConfig& cfg,
           FASTED_CHECK_MSG(t.c0 == 0 && t.c1 == plan.corpus_rows(),
                            "per-tile sinks need a full-corpus-width plan");
         }
+        // Tiles start on a panel boundary: FastedConfig::validate() makes
+        // every block tile a multiple of 8 rows (warp_tile_n % 8 == 0 and
+        // block_tile_* % warp_tile_* == 0), so plans cut c0 at multiples of
+        // kPanelWidth and panel c0 / kPanelWidth is the tile's first.
+        FASTED_CHECK_MSG(t.c0 % kPanelWidth == 0,
+                         "tile column start is not on a panel boundary");
         if (emulated) {
           engine->compute(*entry.in.q_quant, *entry.in.c_quant, t.q0, t.c0);
           for (std::size_t i = t.q0; i < t.q1; ++i) {
@@ -195,10 +172,28 @@ std::uint64_t execute_join(const FastedConfig& cfg,
               emit(i, j, epilogue_dist2(a, sq[i], sc[j]));
             }
           }
+        } else if (t.q1 - t.q0 == 1) {
+          // One query row (point queries, 1-row windows, batch and diagonal
+          // tails): run it against kMultiPanel resident panels per call, one
+          // chain per panel in flight.
+          const std::size_t i = t.q0;
+          const float si = sq[i];
+          for (std::size_t c0 = t.c0; c0 < t.c1;
+               c0 += kMultiPanel * kPanelWidth) {
+            const std::size_t width =
+                std::min(kMultiPanel * kPanelWidth, t.c1 - c0);
+            kern.dot_row(q.row(i), panels + c0 / kPanelWidth * panel_floats,
+                         (width + kPanelWidth - 1) / kPanelWidth, dims, acc);
+            for (std::size_t r = 0; r < width; ++r) {
+              const std::size_t j = c0 + r;
+              if (t.diagonal && j <= i) continue;
+              emit(i, j, epilogue_dist2(acc[r], si, sc[j]));
+            }
+          }
         } else {
           for (std::size_t c0 = t.c0; c0 < t.c1; c0 += kPanelWidth) {
             const std::size_t width = std::min(kPanelWidth, t.c1 - c0);
-            pack_panel(c.row(c0), c.stride(), width, dims, panel);
+            const float* panel = panels + c0 / kPanelWidth * panel_floats;
             for (std::size_t i0 = t.q0; i0 < t.q1; i0 += kQueryBlock) {
               const std::size_t nq = std::min(kQueryBlock, t.q1 - i0);
               kern.dot_panel(q.row(i0), q.stride(), nq, panel, dims, acc);

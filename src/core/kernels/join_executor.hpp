@@ -38,14 +38,16 @@
 
 namespace fasted::kernels {
 
-// Views of prepared data.  Values/norms drive the fast path; the quantized
-// matrices are only needed when `emulated` is set.  For self-joins the
-// query and corpus views alias the same dataset.
+// Views of prepared data.  Query values, corpus panels and both norms drive
+// the fast path; the quantized matrices are only needed when `emulated` is
+// set.  For self-joins the query and corpus views alias the same dataset.
 struct JoinInputs {
   const MatrixF32* q_values = nullptr;
   const std::vector<float>* q_norms = nullptr;
   const MatrixF32* c_values = nullptr;
   const std::vector<float>* c_norms = nullptr;
+  // c_values packed into resident rz_dot panels (PreparedDataset::panels()).
+  const std::vector<float>* c_panels = nullptr;
   const MatrixF16* q_quant = nullptr;
   const MatrixF16* c_quant = nullptr;
 };

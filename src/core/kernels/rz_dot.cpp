@@ -39,7 +39,15 @@ void dot_panel_scalar(const float* q, std::size_t q_stride, std::size_t nq,
   }
 }
 
-const RzDotKernel kScalar{"scalar", &dot_panel_scalar};
+void dot_row_scalar(const float* q, const float* panels, std::size_t npanels,
+                    std::size_t dims, float* acc) {
+  for (std::size_t p = 0; p < npanels; ++p) {
+    dot_panel_scalar(q, 0, 1, panels + p * dims * kPanelWidth, dims,
+                     acc + p * kPanelWidth);
+  }
+}
+
+const RzDotKernel kScalar{"scalar", &dot_panel_scalar, &dot_row_scalar};
 
 }  // namespace
 

@@ -15,21 +15,25 @@
 // Shape: one call evaluates a small dense block — up to kQueryBlock query
 // rows against a packed panel of kPanelWidth corpus rows — because the RZ
 // chain is a serial data dependency per pair and the only way to go faster
-// is to run many independent chains at once.  The scalar reference keeps
-// one chain per (query, corpus) cell.  The SIMD variants keep the chain in
-// the double domain: each panel column is widened once and shared by every
-// query chain, and a step is an fma followed by an AND that truncates the
+// is to run many independent chains at once.  A single query row (point
+// queries, 1-row tiles) has only one chain per panel, so a second entry
+// runs it against up to kMultiPanel consecutive panels instead, one chain
+// per panel in flight.  The scalar reference keeps one chain per
+// (query, corpus) cell.  The SIMD variants keep the chain in the double
+// domain: each panel column is widened once and shared by every query
+// chain, and a step is an fma followed by an AND that truncates the
 // significand to 24 bits (rz_dot_avx512.cpp gives the argument that this is
 // add_rz on FP16-exact inputs).  AVX-512F runs the kPanelWidth lanes of a
 // chain as one zmm; AVX2/FMA as two ymm halves.  All variants are
-// bit-identical to the sequential add_rz chain for every pair —
-// property-tested on randomized dims/strides/tails and adversarial values
-// in tests/core/kernels_test.cpp.
+// bit-identical to the sequential add_rz chain for every pair, through both
+// entries — property-tested on randomized dims/strides/tails and
+// adversarial values in tests/core/kernels_test.cpp.
 //
 // Corpus rows are packed column-interleaved (pack_panel) so the inner loop
-// issues one contiguous aligned load per dimension; the pack is amortized
-// across every query row of a block tile, in the pre-allocated-scratch
-// spirit of the cpp-hpc-primitives exemplar (SNIPPETS.md §1).
+// issues one contiguous load per dimension.  A prepared corpus packs its
+// panels once, when it is built (PreparedDataset::panels()), and every join
+// reads them in place: no query pays for a pack.  The layout costs one
+// extra float copy of the prepared rows.
 
 #pragma once
 
@@ -74,9 +78,21 @@ using RzDotPanelFn = void (*)(const float* q, std::size_t q_stride,
                               std::size_t nq, const float* panel,
                               std::size_t dims, float* acc);
 
+// Max consecutive panels one query row is evaluated against per call.
+inline constexpr std::size_t kMultiPanel = 8;
+
+// Computes acc[p * kPanelWidth + r] = RZ-chain dot product of the query row
+// `q` with row r of panel p, for `npanels` consecutive packed panels
+// (1 <= npanels <= kMultiPanel) starting at `panels`; panel p starts at
+// panels + p * dims * kPanelWidth.  Lanes are as for RzDotPanelFn.
+using RzDotRowFn = void (*)(const float* q, const float* panels,
+                            std::size_t npanels, std::size_t dims,
+                            float* acc);
+
 struct RzDotKernel {
   const char* name;  // "scalar", "avx2", "avx512"
   RzDotPanelFn dot_panel;
+  RzDotRowFn dot_row;  // the one-query-row shape
 };
 
 // Packs `nrows` (<= kPanelWidth) consecutive rows starting at `rows` with

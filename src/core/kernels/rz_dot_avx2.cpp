@@ -7,7 +7,8 @@
 // AND, so no integer casts are needed here).  A query row takes two ymm
 // accumulators, so one pass runs at most kSubBlock = 4 rows (8 accumulators
 // + 2 column halves + broadcast + mask fit the 16 ymm registers); a full
-// kQueryBlock runs as 4-row sub-blocks, since 8 rows spill.
+// kQueryBlock runs as 4-row sub-blocks, since 8 rows spill.  The one-row
+// entry (dot_row) runs up to kSubBlock panels per pass for the same reason.
 //
 // This file is compiled with -mavx2 -mfma on x86-64 (see CMakeLists.txt);
 // everywhere else it degrades to a nullptr stub and dispatch stays scalar.
@@ -81,7 +82,57 @@ void dot_panel_avx2(const float* q, std::size_t q_stride, std::size_t nq,
   }
 }
 
-const RzDotKernel kAvx2{"avx2", &dot_panel_avx2};
+// One query row against P <= kSubBlock consecutive panels: two ymm chains
+// per panel (its low and high lane halves) share each broadcast query
+// element, so 8 accumulators are in flight at P = kSubBlock.
+template <std::size_t P>
+void row_block(const float* q, const float* panels, std::size_t dims,
+               float* acc) {
+  const std::size_t panel_floats = dims * kPanelWidth;
+  __m256d lo[P];
+  __m256d hi[P];
+  for (std::size_t p = 0; p < P; ++p) {
+    lo[p] = _mm256_setzero_pd();
+    hi[p] = _mm256_setzero_pd();
+  }
+  for (std::size_t k = 0; k < dims; ++k) {
+    const __m256d qk = _mm256_set1_pd(q[k]);
+    const float* cols = panels + k * kPanelWidth;
+    for (std::size_t p = 0; p < P; ++p) {
+      const float* c = cols + p * panel_floats;
+      const __m256d col_lo = _mm256_cvtps_pd(_mm_loadu_ps(c));
+      const __m256d col_hi = _mm256_cvtps_pd(_mm_loadu_ps(c + 4));
+      lo[p] = truncate_to_f32(_mm256_fmadd_pd(qk, col_lo, lo[p]));
+      hi[p] = truncate_to_f32(_mm256_fmadd_pd(qk, col_hi, hi[p]));
+    }
+  }
+  for (std::size_t p = 0; p < P; ++p) {
+    _mm_storeu_ps(acc + p * kPanelWidth, _mm256_cvtpd_ps(lo[p]));
+    _mm_storeu_ps(acc + p * kPanelWidth + 4, _mm256_cvtpd_ps(hi[p]));
+  }
+}
+
+using RowFn = void (*)(const float*, const float*, std::size_t, float*);
+
+template <std::size_t... I>
+constexpr std::array<RowFn, sizeof...(I)> make_rows(
+    std::index_sequence<I...>) {
+  return {&row_block<I + 1>...};
+}
+
+// kRows[n - 1] runs one query row against n panels, n <= kSubBlock.
+constexpr auto kRows = make_rows(std::make_index_sequence<kSubBlock>{});
+
+void dot_row_avx2(const float* q, const float* panels, std::size_t npanels,
+                  std::size_t dims, float* acc) {
+  const std::size_t panel_floats = dims * kPanelWidth;
+  for (std::size_t p = 0; p < npanels; p += kSubBlock) {
+    const std::size_t n = std::min(kSubBlock, npanels - p);
+    kRows[n - 1](q, panels + p * panel_floats, dims, acc + p * kPanelWidth);
+  }
+}
+
+const RzDotKernel kAvx2{"avx2", &dot_panel_avx2, &dot_row_avx2};
 
 }  // namespace
 

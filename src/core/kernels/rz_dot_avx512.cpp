@@ -23,9 +23,10 @@
 // contract (rz_dot.hpp) only admits FP16-exact inputs.
 //
 // The chain latency is fma + and (~5 cycles) instead of cvt + add + cvt
-// (~18), and kQueryBlock chains share every widened column.  The AND goes
-// through integer casts because _mm512_and_pd needs AVX512DQ and this file
-// is built with -mavx512f only (see CMakeLists.txt); elsewhere it is a
+// (~18), and kQueryBlock chains share every widened column (or, for one
+// query row, up to kMultiPanel chains share every query element).  The AND
+// goes through integer casts because _mm512_and_pd needs AVX512DQ and this
+// file is built with -mavx512f only (see CMakeLists.txt); elsewhere it is a
 // nullptr stub.  Bit-identity with the scalar chain is property-tested in
 // tests/core/kernels_test.cpp.
 
@@ -100,7 +101,46 @@ void dot_panel_avx512(const float* q, std::size_t q_stride, std::size_t nq,
   kBlocks[nq - 1](q, q_stride, panel, dims, acc);
 }
 
-const RzDotKernel kAvx512{"avx512", &dot_panel_avx512};
+// One query row against P consecutive panels: P independent zmm chains, one
+// per panel, share each broadcast query element (so the broadcast is paid
+// once per dimension and needs no pre-widened copy).
+template <std::size_t P>
+void row_block(const float* q, const float* panels, std::size_t dims,
+               float* acc) {
+  const std::size_t panel_floats = dims * kPanelWidth;
+  __m512d a[P];
+  for (std::size_t p = 0; p < P; ++p) a[p] = _mm512_setzero_pd();
+  for (std::size_t k = 0; k < dims; ++k) {
+    const __m512d qk = _mm512_set1_pd(q[k]);
+    const float* cols = panels + k * kPanelWidth;
+    for (std::size_t p = 0; p < P; ++p) {
+      const __m512d col =
+          _mm512_cvtps_pd(_mm256_loadu_ps(cols + p * panel_floats));
+      a[p] = truncate_to_f32(_mm512_fmadd_pd(qk, col, a[p]));
+    }
+  }
+  for (std::size_t p = 0; p < P; ++p) {
+    _mm256_storeu_ps(acc + p * kPanelWidth, _mm512_cvtpd_ps(a[p]));
+  }
+}
+
+using RowFn = void (*)(const float*, const float*, std::size_t, float*);
+
+template <std::size_t... I>
+constexpr std::array<RowFn, sizeof...(I)> make_rows(
+    std::index_sequence<I...>) {
+  return {&row_block<I + 1>...};
+}
+
+// kRows[n - 1] runs one query row against n panels, n <= kMultiPanel.
+constexpr auto kRows = make_rows(std::make_index_sequence<kMultiPanel>{});
+
+void dot_row_avx512(const float* q, const float* panels, std::size_t npanels,
+                    std::size_t dims, float* acc) {
+  kRows[npanels - 1](q, panels, dims, acc);
+}
+
+const RzDotKernel kAvx512{"avx512", &dot_panel_avx512, &dot_row_avx512};
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 // corpus and caches exactly those artifacts:
 //
 //   * PreparedDataset   FP16 data + dequantized values + RZ squared norms
+//                       + resident rz_dot panels
 //   * eps calibration   selectivity target -> search radius (sampled once
 //                       per distinct target, then served from cache)
 //   * GridIndex         one per distinct eps, for candidate pruning clients

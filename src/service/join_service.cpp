@@ -501,9 +501,10 @@ std::size_t JoinService::knn_fill(const PreparedDataset& queries,
     obs::PhaseTimer brute_timer(phases_->knn_brute);
     obs::TraceSpan brute_span("knn_brute", "service");
     const float inf = std::numeric_limits<float>::infinity();
-    // The sweep runs the same kernel the tiled path would: each shard's
-    // rows go through the kernel of its owning domain, so sweep distances
-    // are bit-identical to tile distances under any kernel selection.
+    // The sweep runs the same kernel the tiled path would, on the shard's
+    // resident panels: each shard's rows go through the kernel of its
+    // owning domain, so sweep distances are bit-identical to tile distances
+    // under any kernel selection.
     const kernels::KernelContext kctx = kernels::KernelContext::resolve(
         engine_.config().rz_kernel, ThreadPool::global());
     parallel_for(0, active.size(), [&](std::size_t lo, std::size_t hi) {
@@ -514,9 +515,7 @@ std::size_t JoinService::knn_fill(const PreparedDataset& queries,
         for (const CorpusShardView& view : views) {
           const std::size_t before = row.size();
           query_row_join(queries.values().row(i), queries.norms()[i],
-                         view.prepared->values(), view.prepared->norms(), 0,
-                         view.prepared->rows(), inf,
-                         kctx.kernel(view.domain), row);
+                         *view.prepared, inf, kctx.kernel(view.domain), row);
           if (view.base != 0) {
             for (std::size_t r = before; r < row.size(); ++r) {
               row[r].id += static_cast<std::uint32_t>(view.base);

@@ -334,7 +334,7 @@ class ShardedCorpus::Shard {
         std::size_t owning_domain);
 
   const MatrixF32 points;          // original FP32 rows (grid + calibration)
-  const PreparedDataset prepared;  // FP16 + dequant + RZ norms
+  const PreparedDataset prepared;  // FP16 + dequant + RZ norms + panels
   const std::size_t base;          // global id of local row 0
   const bool sealed;
   const std::uint64_t generation;  // unique per shard build

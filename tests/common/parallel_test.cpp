@@ -272,20 +272,6 @@ TEST(ThreadPool, DomainGuardRoutesPlainParallelFor) {
   EXPECT_GT(per_domain[1].load(), 0);
 }
 
-TEST(ThreadPool, DomainArenaCommitsOnOwningDomain) {
-  const Topology topo = Topology::synthetic(2);
-  ThreadPool pool(4, &topo);
-  // Allocations from each domain's arena are zeroed by that domain's
-  // workers (can't observe placement here, but the commit path must run
-  // and return usable memory from any thread).
-  for (std::size_t d = 0; d < 2; ++d) {
-    auto* p = static_cast<unsigned char*>(
-        pool.domain_arena(d).allocate(1 << 12));
-    ASSERT_NE(p, nullptr);
-    for (std::size_t i = 0; i < (1u << 12); i += 257) EXPECT_EQ(p[i], 0);
-  }
-}
-
 TEST(ThreadPool, ResetGlobalRebuildsTopology) {
   const Topology two = Topology::synthetic(2);
   ThreadPool::reset_global(4, &two);

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cstdlib>
 #include <thread>
 
 namespace fasted {
@@ -92,35 +92,6 @@ TEST(Topology, PinToCurrentAffinityWorksWhereSupported) {
   std::thread t([&] { (void)Topology::pin_current_thread(d); });
   t.join();
 #endif
-}
-
-TEST(DomainArena, AllocationsAreZeroedAlignedAndDisjoint) {
-  DomainArena arena;  // default commit: plain memset
-  auto* a = static_cast<unsigned char*>(arena.allocate(100, 64));
-  auto* b = static_cast<unsigned char*>(arena.allocate(100, 64));
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a[i], 0);
-  std::memset(a, 0xab, 100);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(b[i], 0) << "slices overlap";
-}
-
-TEST(DomainArena, GrowsThroughCommitCallback) {
-  static int commits;
-  commits = 0;
-  const auto commit = +[](void* ptr, std::size_t bytes, void*) {
-    ++commits;
-    std::memset(ptr, 0, bytes);
-  };
-  DomainArena arena(commit, nullptr);
-  (void)arena.allocate(1 << 10);
-  EXPECT_EQ(commits, 1);
-  // Larger than the first block: a fresh committed block appears.
-  (void)arena.allocate(1 << 20);
-  EXPECT_EQ(commits, 2);
-  EXPECT_GE(arena.bytes_reserved(), (1u << 20));
 }
 
 }  // namespace

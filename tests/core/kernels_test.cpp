@@ -1,8 +1,9 @@
 // The unified execution layer's contracts:
 //  * every rz_dot variant (scalar, AVX2, AVX512 — whichever this CPU runs)
 //    is bit-identical to the sequential add_rz chain on randomized
-//    dims/strides/tail widths, at every query count, and on adversarial
-//    values (sub-ulp cancellation, FP16 subnormals, +-65504, long rows),
+//    dims/strides/tail widths, at every query count and (one-row entry)
+//    every panel count, and on adversarial values (sub-ulp cancellation,
+//    FP16 subnormals, +-65504, long rows),
 //  * pack_panel zero-fills tail lanes,
 //  * the three ResultSinks (count-only, CSR, streaming) agree pair-for-pair
 //    through the public join APIs, on both kernel paths.
@@ -37,6 +38,7 @@
 namespace fasted {
 namespace {
 
+using kernels::kMultiPanel;
 using kernels::kPanelWidth;
 using kernels::kQueryBlock;
 
@@ -54,6 +56,11 @@ std::vector<float> fp16_exact_values(Rng& rng, std::size_t count,
 // nq in 1..kQueryBlock, bit for bit against rz_dot_pair — so a kernel that
 // special-cases one block size cannot hide a wrong chain in another.
 // `queries` holds kQueryBlock rows; a call with nq reads the first nq.
+// The one-row entry (dot_row) is checked the same way at every npanels in
+// 1..kMultiPanel, for every query row, over the last npanels of
+// kMultiPanel panels laid out like PreparedDataset::panels(): full panels
+// of the corpus rows (a different rotation per panel), then the `nrows`
+// rows themselves as the zero-tailed last panel.
 void expect_all_kernels_match_pair_chain(const std::vector<float>& queries,
                                          const std::vector<float>& corpus,
                                          std::size_t stride, std::size_t nrows,
@@ -70,6 +77,29 @@ void expect_all_kernels_match_pair_chain(const std::vector<float>& queries,
   std::vector<float> panel(dims * kPanelWidth);
   kernels::pack_panel(corpus.data(), stride, nrows, dims, panel.data());
 
+  // The multi-panel corpus: (kMultiPanel - 1) full panels, then `nrows`.
+  const std::size_t full = (kMultiPanel - 1) * kPanelWidth;
+  std::vector<float> rows((full + nrows) * stride);
+  for (std::size_t i = 0; i < full + nrows; ++i) {
+    const std::size_t src = i < full ? (i + i / kPanelWidth + 1) % nrows
+                                     : i - full;
+    std::copy_n(corpus.data() + src * stride, stride,
+                rows.data() + i * stride);
+  }
+  std::vector<float> row_expect(kQueryBlock * kMultiPanel * kPanelWidth, 0.0f);
+  for (std::size_t qi = 0; qi < kQueryBlock; ++qi) {
+    for (std::size_t i = 0; i < full + nrows; ++i) {
+      row_expect[qi * kMultiPanel * kPanelWidth + i] = kernels::rz_dot_pair(
+          queries.data() + qi * stride, rows.data() + i * stride, dims);
+    }
+  }
+  std::vector<float> panels(kMultiPanel * dims * kPanelWidth);
+  for (std::size_t p = 0; p < kMultiPanel; ++p) {
+    kernels::pack_panel(rows.data() + p * kPanelWidth * stride, stride,
+                        p + 1 < kMultiPanel ? kPanelWidth : nrows, dims,
+                        panels.data() + p * dims * kPanelWidth);
+  }
+
   for (const kernels::RzDotKernel* kern :
        kernels::KernelRegistry::global().supported()) {
     for (std::size_t nq = 1; nq <= kQueryBlock; ++nq) {
@@ -83,6 +113,27 @@ void expect_all_kernels_match_pair_chain(const std::vector<float>& queries,
             << dims << " stride " << stride << " nrows " << nrows << " q "
             << i / kPanelWidth << " lane " << i % kPanelWidth << " expect "
             << expect[i] << " got " << acc[i];
+      }
+    }
+    for (std::size_t np = 1; np <= kMultiPanel; ++np) {
+      const std::size_t first = kMultiPanel - np;
+      for (std::size_t qi = 0; qi < kQueryBlock; ++qi) {
+        std::vector<float> acc(np * kPanelWidth, -1.0f);
+        kern->dot_row(queries.data() + qi * stride,
+                      panels.data() + first * dims * kPanelWidth, np, dims,
+                      acc.data());
+        for (std::size_t i = 0; i < acc.size(); ++i) {
+          const float want =
+              row_expect[qi * kMultiPanel * kPanelWidth +
+                         first * kPanelWidth + i];
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(want),
+                    std::bit_cast<std::uint32_t>(acc[i]))
+              << label << ": " << kern->name << " dot_row npanels " << np
+              << " dims " << dims << " stride " << stride << " nrows "
+              << nrows << " q " << qi << " panel " << first + i / kPanelWidth
+              << " lane " << i % kPanelWidth << " expect " << want
+              << " got " << acc[i];
+        }
       }
     }
   }

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "data/calibrate.hpp"
@@ -260,6 +263,55 @@ TEST(ShardedCorpus, ConcurrentReadersDuringAppendAreSafe) {
   appender.join();
   EXPECT_EQ(corpus.size(), 600u);
   EXPECT_EQ(corpus.shard_count(), 6u);
+}
+
+// Every shard's resident panels are pack_panel over its prepared values,
+// zero-tailed — whichever path built the shard.
+void expect_shard_panels_match_pack(const ShardedCorpus& corpus,
+                                    const std::string& label) {
+  for (const auto& slot : *corpus.snapshot()) {
+    const PreparedDataset& p = slot.shard->prepared;
+    const MatrixF32& v = p.values();
+    const std::size_t w = kernels::kPanelWidth;
+    ASSERT_EQ(p.panels().size(), (p.rows() + w - 1) / w * p.panel_floats())
+        << label;
+    std::vector<float> want(p.panel_floats());
+    for (std::size_t r0 = 0; r0 < p.rows(); r0 += w) {
+      kernels::pack_panel(v.row(r0), v.stride(), std::min(w, p.rows() - r0),
+                          v.stride(), want.data());
+      ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                             p.panels().begin() + static_cast<std::ptrdiff_t>(
+                                                      r0 / w * want.size())))
+          << label << " shard base " << slot.shard->base << " panel "
+          << r0 / w;
+    }
+  }
+}
+
+TEST(ShardedCorpus, ResidentPanelsMatchPackAfterAppendCompactMigrate) {
+  const auto data = data::uniform(250, 12, 79);
+  ShardedCorpusOptions opts;
+  opts.shard_capacity = 100;
+  opts.placement_domains = 2;
+  ShardedCorpus corpus{MatrixF32(data), opts};
+  expect_shard_panels_match_pack(corpus, "bulk");
+
+  corpus.append(data::uniform(33, 12, 80));  // open shard: 50 -> 83 rows
+  expect_shard_panels_match_pack(corpus, "append");
+
+  const std::vector<std::uint32_t> dead = {1, 2, 3, 140, 141, 260};
+  corpus.erase(dead);
+  CompactOptions compact;
+  compact.shard_capacity = 97;  // every shard re-chunks, rows % 8 == 1
+  compact.dead_fraction = 0.0;
+  corpus.compact(compact);
+  EXPECT_EQ(corpus.size(), 283u - dead.size());
+  expect_shard_panels_match_pack(corpus, "compact");
+
+  const PreparedDataset* before = &corpus.prepared(0);
+  corpus.migrate(0, 1);
+  EXPECT_NE(&corpus.prepared(0), before);  // rebuilt on the new domain
+  expect_shard_panels_match_pack(corpus, "migrate");
 }
 
 TEST(ShardedCorpus, RejectsBadInputs) {
