@@ -52,8 +52,8 @@
 #include "data/generators.hpp"
 #include "obs/histogram.hpp"
 #include "serve/batch_gateway.hpp"
-#include "service/corpus_session.hpp"
 #include "service/join_service.hpp"
+#include "service/sharded_corpus.hpp"
 #include "tune/autotuner.hpp"
 
 using namespace fasted;
@@ -472,7 +472,7 @@ int main(int argc, char** argv) {
       client_queries.push_back(data::uniform(serve_rows, d, 9000 + c));
     }
     auto svc = std::make_shared<service::JoinService>(
-        std::make_shared<service::CorpusSession>(data::uniform(serve_n, d, 43)));
+        std::make_shared<service::ShardedCorpus>(data::uniform(serve_n, d, 43)));
     const double serve_evals = static_cast<double>(serve_clients) *
                                static_cast<double>(serve_rows) *
                                static_cast<double>(serve_n);

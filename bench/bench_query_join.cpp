@@ -1,7 +1,8 @@
 // Query-service throughput microbench: queries/s of the corpus-resident
 // query join across batch sizes, against the cold path that re-prepares the
-// corpus per request.  The gap is the point of the CorpusSession — the FP16
-// conversion + norm precompute (+ calibration) amortize across batches.
+// corpus per request.  The gap is the point of the resident corpus (a
+// one-shard ShardedCorpus) — the FP16 conversion + norm precompute
+// (+ calibration) amortize across batches.
 //
 //   bench_query_join [corpus_n] [dims] [batches]   (defaults 4096 64 4)
 
@@ -14,8 +15,8 @@
 #include "core/fasted.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
-#include "service/corpus_session.hpp"
 #include "service/join_service.hpp"
+#include "service/sharded_corpus.hpp"
 
 using namespace fasted;
 
@@ -46,16 +47,16 @@ int main(int argc, char** argv) {
   std::printf("eps=%.5g (selectivity 64)\n\n", eps);
 
   auto t0 = std::chrono::steady_clock::now();
-  auto session = std::make_shared<service::CorpusSession>(MatrixF32(corpus));
-  service::JoinService svc(session);
+  service::JoinService svc(
+      std::make_shared<service::ShardedCorpus>(MatrixF32(corpus)));
   const double ingest_s = seconds_since(t0);
-  std::printf("session ingest (FP16 + norms, paid once): %.4f s\n\n",
+  std::printf("corpus ingest (FP16 + norms + panels, paid once): %.4f s\n\n",
               ingest_s);
 
   std::printf("%-10s %14s %14s %16s %16s\n", "batch", "resident q/s",
               "cold q/s", "modeled q/s", "pairs/batch");
   for (const std::size_t batch : {64ull, 256ull, 1024ull}) {
-    // Resident: the session's prepared corpus serves every batch.
+    // Resident: the corpus's prepared shard serves every batch.
     double resident_s = 0;
     double modeled_s = 0;
     std::uint64_t pairs = 0;
@@ -70,8 +71,8 @@ int main(int argc, char** argv) {
       pairs = out.pair_count;
     }
 
-    // Cold: re-quantize and re-precompute the corpus per batch, as a
-    // sessionless engine must.
+    // Cold: re-quantize and re-precompute the corpus per batch, as an
+    // engine without a resident corpus must.
     double cold_s = 0;
     FastedEngine engine;
     for (std::size_t b = 0; b < batches; ++b) {
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(pairs));
   }
 
-  bench::note("resident vs cold isolates the CorpusSession amortization; "
+  bench::note("resident vs cold isolates the resident-corpus amortization; "
               "modeled q/s is the A100 timing model with corpus legs "
               "amortized");
   return 0;

@@ -12,7 +12,7 @@
 //   fasted_cli --n 10000 --queries 256 --serve-batches 8 --selectivity 64
 //
 // Sharded service (--shards N splits the resident corpus N ways; results
-// are bit-identical to the 1-shard session).  --ingest-fraction F starts
+// are bit-identical to the default single shard).  --ingest-fraction F starts
 // the session with the first F*n rows and appends the remainder between
 // batches — the append-driven serve mode — with a per-shard skew table at
 // the end:
@@ -45,7 +45,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/batch_gateway.hpp"
-#include "service/corpus_session.hpp"
 #include "service/join_service.hpp"
 #include "service/sharded_corpus.hpp"
 #include "tune/autotuner.hpp"
@@ -374,7 +373,7 @@ int run_service_mode(const Args& args, const MatrixF32& points, float eps,
   if (!sharded && args.domains > 0) {
     std::fprintf(stderr,
                  "warning: --domains needs --shards (placement is "
-                 "per-shard); serving from a single session\n");
+                 "per-shard); serving one shard\n");
   }
 
   // Incremental ingest plan: start with the first `initial` rows, append
@@ -392,23 +391,18 @@ int run_service_mode(const Args& args, const MatrixF32& points, float eps,
               eps);
 
   const auto ingest_start = Clock::now();
-  std::shared_ptr<service::ShardedCorpus> corpus;
-  std::shared_ptr<service::JoinService> svc;
+  // Without --shards the corpus is one shard (the default options).
+  service::ShardedCorpusOptions copts;
   if (sharded) {
-    service::ShardedCorpusOptions copts;
     // Capacity from the FULL corpus size so the append-driven session seals
     // shards at the same boundaries a bulk N-way split would.
     copts.shard_capacity = (n + args.shards - 1) / args.shards;
     copts.placement_domains = args.domains;
-    corpus = std::make_shared<service::ShardedCorpus>(
-        row_slice(points, 0, initial), copts);
-    svc = std::make_shared<service::JoinService>(
-        corpus, FastedEngine(base_config(args)));
-  } else {
-    svc = std::make_shared<service::JoinService>(
-        std::make_shared<service::CorpusSession>(MatrixF32(points)),
-        FastedEngine(base_config(args)));
   }
+  const auto corpus = std::make_shared<service::ShardedCorpus>(
+      row_slice(points, 0, initial), copts);
+  const auto svc = std::make_shared<service::JoinService>(
+      corpus, FastedEngine(base_config(args)));
   const double ingest_s =
       std::chrono::duration<double>(Clock::now() - ingest_start).count();
   std::printf("ingest: FP16 + norms prepared for %zu/%zu rows in %.3f s\n",
@@ -416,7 +410,7 @@ int run_service_mode(const Args& args, const MatrixF32& points, float eps,
 
   if (schedule != nullptr) {
     // Adopt the tuned (or loaded) schedule through the service's own swap
-    // path; the sharded backend is re-chunked to the tuned capacity
+    // path; the corpus is re-chunked to the tuned capacity
     // (results are bit-identical either way — only throughput changes).
     svc->set_schedule(*schedule, /*rechunk_shards=*/true);
     std::printf("serving with tuned schedule: %s\n",

@@ -1,11 +1,9 @@
 #include "apps/knn.hpp"
 
 #include <memory>
-#include <optional>
 #include <span>
 
 #include "common/check.hpp"
-#include "service/corpus_session.hpp"
 #include "service/join_service.hpp"
 #include "service/sharded_corpus.hpp"
 
@@ -19,24 +17,19 @@ KnnResult knn_all(const FastedEngine& engine, const MatrixF32& data,
   const std::size_t n = data.rows();
   FASTED_CHECK_MSG(k >= 1 && k < n, "need 1 <= k < |D|");
 
-  std::optional<service::JoinService> svc;
-  if (options.shards > 1 || !options.tombstones.empty()) {
-    service::ShardedCorpusOptions copts;
-    copts.shards = std::max<std::size_t>(1, options.shards);
-    copts.placement_domains = options.domains;
-    auto corpus =
-        std::make_shared<service::ShardedCorpus>(MatrixF32(data), copts);
-    if (!options.tombstones.empty()) {
-      corpus->erase(std::span<const std::uint32_t>(options.tombstones));
-      // The k+1 request below needs that many ALIVE rows (duplicate ids in
-      // `tombstones` would make this check conservative, which is fine).
-      FASTED_CHECK_MSG(k + 1 <= corpus->alive(),
-                       "need k < alive rows after tombstoning");
-    }
-    svc.emplace(std::move(corpus), engine);
-  } else {
-    svc.emplace(std::make_shared<service::CorpusSession>(data), engine);
+  service::ShardedCorpusOptions copts;
+  copts.shards = std::max<std::size_t>(1, options.shards);
+  copts.placement_domains = options.domains;
+  auto corpus =
+      std::make_shared<service::ShardedCorpus>(MatrixF32(data), copts);
+  if (!options.tombstones.empty()) {
+    corpus->erase(std::span<const std::uint32_t>(options.tombstones));
+    // The k+1 request below needs that many ALIVE rows (duplicate ids in
+    // `tombstones` would make this check conservative, which is fine).
+    FASTED_CHECK_MSG(k + 1 <= corpus->alive(),
+                     "need k < alive rows after tombstoning");
   }
+  service::JoinService svc(std::move(corpus), engine);
 
   service::KnnOptions sopts;
   sopts.initial_growth = options.initial_growth;
@@ -44,7 +37,7 @@ KnnResult knn_all(const FastedEngine& engine, const MatrixF32& data,
   sopts.max_rounds = options.max_rounds;
   // knn_corpus reuses the backend's prepared corpus as the query batch —
   // no second copy or quantization pass.
-  const service::KnnBatchResult batch = svc->knn_corpus(k + 1, sopts);
+  const service::KnnBatchResult batch = svc.knn_corpus(k + 1, sopts);
 
   KnnResult result;
   result.k = k;

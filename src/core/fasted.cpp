@@ -332,16 +332,17 @@ JoinOutput run_join(const FastedConfig& cfg, const PreparedDataset& queries,
   const bool emulated = options.path == ExecutionPath::kEmulated;
   kernels::JoinPlan plan =
       kernels::JoinPlan::rectangular(cfg, queries.rows(), corpus.rows());
-  const kernels::JoinInputs in = join_inputs(queries, corpus);
+  kernels::ShardJoin one{&plan, join_inputs(queries, corpus)};
+  const std::span<kernels::ShardJoin> entries(&one, 1);
 
   JoinOutput out;
   if (options.build_result) {
     kernels::SelfJoinCsrSink sink(queries.rows(), /*mirror=*/false);
-    out.pair_count = kernels::execute_join(cfg, plan, in, eps2, emulated, sink);
+    out.pair_count = kernels::execute_join(cfg, entries, eps2, emulated, sink);
     out.result = sink.finalize();
   } else {
     kernels::CountSink sink;
-    out.pair_count = kernels::execute_join(cfg, plan, in, eps2, emulated, sink);
+    out.pair_count = kernels::execute_join(cfg, entries, eps2, emulated, sink);
   }
   return out;
 }
@@ -449,15 +450,6 @@ QueryJoinOutput FastedEngine::query_join(const MatrixF32& queries,
   return out;
 }
 
-std::uint64_t FastedEngine::query_join_into(const PreparedDataset& queries,
-                                            const PreparedDataset& corpus,
-                                            float eps,
-                                            kernels::ResultSink& sink) const {
-  const CorpusShardView whole{&corpus, 0};
-  return query_join_into(queries, std::span<const CorpusShardView>(&whole, 1),
-                         eps, sink);
-}
-
 std::uint64_t FastedEngine::query_join_into(
     const PreparedDataset& queries, std::span<const CorpusShardView> shards,
     float eps, kernels::ResultSink& sink) const {
@@ -517,7 +509,6 @@ JoinOutput FastedEngine::batched_self_join(const MatrixF32& data, float eps,
   const PreparedDataset prepared(data);
   const std::size_t n = prepared.rows();
   const float eps2 = eps * eps;
-  const kernels::JoinInputs in = join_inputs(prepared, prepared);
 
   JoinOutput out;
   kernels::CountSink count_sink;
@@ -535,8 +526,10 @@ JoinOutput FastedEngine::batched_self_join(const MatrixF32& data, float eps,
     // the same plan/kernel/sink pipeline as every other join.
     kernels::JoinPlan plan =
         kernels::JoinPlan::self_strip(config_, q0, q1, n);
+    kernels::ShardJoin one{&plan, join_inputs(prepared, prepared)};
     const std::uint64_t strip_pairs = kernels::execute_join(
-        config_, plan, in, eps2, /*emulated=*/false, sink);
+        config_, std::span<kernels::ShardJoin>(&one, 1), eps2,
+        /*emulated=*/false, sink);
     out.pair_count += strip_pairs;
     // Modeled per-batch legs: one rectangular kernel + its result transfer.
     const auto perf =

@@ -240,18 +240,12 @@ class FastedEngine {
                              float eps, const JoinOptions& options = {}) const;
 
   // Sink-directed query join: same kernels and numerics as query_join, but
-  // matches flow into `sink` instead of a batch-wide CSR (pass a
-  // kernels::StreamingSink for bounded-memory per-query delivery — each
-  // tile spans the full corpus so every query completes in one piece).
-  // Returns the number of matches emitted.
-  std::uint64_t query_join_into(const PreparedDataset& queries,
-                                const PreparedDataset& corpus, float eps,
-                                kernels::ResultSink& sink) const;
-
-  // Sharded sink-directed query join: one query_strip plan per shard (each
-  // tile spans its full shard, so a query completes in one tile per shard).
-  // Pair a multi-shard span with a kernels::MergingStreamingSink, which
-  // reassembles each query across shards before delivery.
+  // matches flow into `sink` instead of a batch-wide CSR.  One query_strip
+  // plan per shard: each tile spans its full shard, so a query completes in
+  // one tile per shard.  Pass a kernels::StreamingSink built for
+  // shards.size() shards for bounded-memory per-query delivery — it
+  // reassembles each query across shards and runs the callback on its
+  // consumer thread.  Returns the number of matches emitted.
   std::uint64_t query_join_into(const PreparedDataset& queries,
                                 std::span<const CorpusShardView> shards,
                                 float eps, kernels::ResultSink& sink) const;

@@ -53,7 +53,6 @@ class DemuxSink final : public ResultSink {
   DemuxSink(std::vector<DemuxRoute> routes, std::size_t num_shards);
 
   bool per_tile() const override { return true; }
-  bool merges_shards() const override { return true; }
   void consume(const TileRange& range, std::span<const PairHit> hits) override;
 
   std::size_t requests() const { return routes_.size(); }

@@ -9,6 +9,7 @@
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "core/block_tile.hpp"
+#include "core/kernels/kernel_context.hpp"
 #include "core/kernels/rz_dot.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -40,8 +41,7 @@ bool steal_enabled(StealMode mode) {
 std::uint64_t execute_join(const FastedConfig& cfg,
                            std::span<ShardJoin> entries, float eps2,
                            bool emulated, ResultSink& sink,
-                           std::uint64_t* per_entry_hits,
-                           const KernelContext& ctx) {
+                           std::uint64_t* per_entry_hits) {
   FASTED_CHECK_MSG(!entries.empty(), "join executor needs at least one plan");
   for (const ShardJoin& e : entries) {
     FASTED_CHECK_MSG(e.plan != nullptr, "null plan in sharded join");
@@ -61,12 +61,8 @@ std::uint64_t execute_join(const FastedConfig& cfg,
   }
   const bool collect = sink.wants_hits();
   const bool per_tile = collect && sink.per_tile();
-  if (per_tile) {
-    FASTED_CHECK_MSG(entries.size() == 1 || sink.merges_shards(),
-                     "multi-shard joins need a shard-merging per-tile sink "
-                     "(each query completes once per shard)");
-  }
   ThreadPool& pool = ThreadPool::global();
+  const KernelContext ctx = KernelContext::resolve(cfg.rz_kernel, pool);
   // Confined dispatch (a DomainGuard on this thread, or a nested call from
   // inside a pool job) runs every body with the same home domain — treat
   // the drain as flat so no partition is orphaned when stealing is off.
@@ -282,26 +278,6 @@ std::uint64_t execute_join(const FastedConfig& cfg,
     }
   }
   return total.load();
-}
-
-std::uint64_t execute_join(const FastedConfig& cfg,
-                           std::span<ShardJoin> entries, float eps2,
-                           bool emulated, ResultSink& sink,
-                           std::uint64_t* per_entry_hits) {
-  const KernelContext ctx =
-      KernelContext::resolve(cfg.rz_kernel, ThreadPool::global());
-  return execute_join(cfg, entries, eps2, emulated, sink, per_entry_hits,
-                      ctx);
-}
-
-std::uint64_t execute_join(const FastedConfig& cfg, JoinPlan& plan,
-                           const JoinInputs& in, float eps2, bool emulated,
-                           ResultSink& sink) {
-  ShardJoin one;
-  one.plan = &plan;
-  one.in = in;
-  return execute_join(cfg, std::span<ShardJoin>(&one, 1), eps2, emulated,
-                      sink);
 }
 
 }  // namespace fasted::kernels

@@ -33,7 +33,6 @@
 #include "common/matrix.hpp"
 #include "core/config.hpp"
 #include "core/kernels/join_plan.hpp"
-#include "core/kernels/kernel_context.hpp"
 #include "core/kernels/result_sink.hpp"
 
 namespace fasted::kernels {
@@ -81,32 +80,18 @@ struct ShardJoin {
 // rows' hits on its side, so callers subtract sink.dropped() to get the
 // surviving pair count (per-entry counts stay raw — they measure drain
 // work, which is what the skew/rebalance consumers want).
-// The primary overload threads the kernel context explicitly: each entry's
-// tiles run the kernel `ctx` resolved for the entry's OWNING domain (the
-// same modulo routing that places the entry), so heterogeneous-ISA domains
-// each run their own backend — bit-identically, since every variant
-// reproduces the scalar chain.  With stealing on, a stronger domain's
-// kernel may execute on a weaker domain's worker (the kernel follows the
-// ENTRY, not the thief); genuinely mixed-ISA fleets should pair per-domain
-// kernels with steal off — synthetic heterogeneous assignments (scalar vs
-// any) are safe anywhere.
-std::uint64_t execute_join(const FastedConfig& cfg,
-                           std::span<ShardJoin> entries, float eps2,
-                           bool emulated, ResultSink& sink,
-                           std::uint64_t* per_entry_hits,
-                           const KernelContext& ctx);
-
-// Convenience: resolves the context from cfg.rz_kernel against the global
-// pool's per-domain feature probes (the common path).
+// The kernel context is resolved once per call from cfg.rz_kernel against
+// the global pool's per-domain feature probes: each entry's tiles run the
+// kernel resolved for the entry's OWNING domain (the same modulo routing
+// that places the entry), so heterogeneous-ISA domains each run their own
+// backend — bit-identically, since every variant reproduces the scalar
+// chain.  With stealing on, a stronger domain's kernel may execute on a
+// weaker domain's worker (the kernel follows the ENTRY, not the thief);
+// genuinely mixed-ISA fleets should pair per-domain kernels with steal off
+// — synthetic heterogeneous assignments (scalar vs any) are safe anywhere.
 std::uint64_t execute_join(const FastedConfig& cfg,
                            std::span<ShardJoin> entries, float eps2,
                            bool emulated, ResultSink& sink,
                            std::uint64_t* per_entry_hits = nullptr);
-
-// Single-plan convenience: one entry with zero offsets (the pre-sharding
-// signature; every non-sharded join still comes through here).
-std::uint64_t execute_join(const FastedConfig& cfg, JoinPlan& plan,
-                           const JoinInputs& in, float eps2, bool emulated,
-                           ResultSink& sink);
 
 }  // namespace fasted::kernels

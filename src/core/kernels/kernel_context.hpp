@@ -16,9 +16,10 @@
 //                    cannot interfere.
 //   KernelContext    one resolved kernel PER EXECUTION DOMAIN, constructed
 //                    from a selection string + the pool's per-domain
-//                    feature probes and passed explicitly to execute_join.
-//                    Tests build scoped contexts directly; nothing is
-//                    pinned behind anyone's back.
+//                    feature probes.  execute_join resolves one per call
+//                    from FastedConfig::rz_kernel; tests build scoped
+//                    contexts directly.  Nothing is pinned behind anyone's
+//                    back.
 //
 // Selection strings (FastedConfig::rz_kernel, tune::Schedule::kernel):
 //   "auto" (or "")      every domain gets the widest variant its own pinned

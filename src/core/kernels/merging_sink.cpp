@@ -1,5 +1,6 @@
 #include "core/kernels/merging_sink.hpp"
 
+#include <exception>
 #include <utility>
 
 #include "common/check.hpp"
@@ -9,11 +10,10 @@ namespace fasted::kernels {
 namespace {
 
 // Regroup one tile's hits (corpus-block-major, per-query ascending corpus
-// id) into a QueryStrip via a stable counting scatter — the same
-// canonicalization StreamingSink does, but into a worker-private strip so
-// no lock is needed.  A tombstone filter drops dead-corpus hits here,
-// before grouping, so delivered rows only ever hold surviving matches;
-// `dropped` receives the tally.
+// id) into a QueryStrip via a stable counting scatter, into a
+// worker-private strip so no lock is needed.  A tombstone filter drops
+// dead-corpus hits here, before grouping, so delivered rows only ever hold
+// surviving matches; `dropped` receives the tally.
 QueryStrip regroup(const TileRange& range, std::span<const PairHit> hits,
                    const TombstoneFilter* filter, std::uint64_t& dropped) {
   dropped = 0;
@@ -45,92 +45,66 @@ QueryStrip regroup(const TileRange& range, std::span<const PairHit> hits,
 
 }  // namespace
 
-StripDeliverer::StripDeliverer(QueryMatchCallback callback, StripDelivery mode,
-                               std::size_t ring_capacity)
-    : callback_(std::move(callback)), mode_(mode) {
-  FASTED_CHECK_MSG(callback_ != nullptr, "strip delivery needs a callback");
-  if (mode_ == StripDelivery::kRing) {
-    ring_ = std::make_unique<BoundedMpscRing<QueryStrip>>(ring_capacity);
-    consumer_ = std::thread([this] {
-      QueryStrip strip;
-      for (;;) {
-        if (ring_->try_pop(strip)) {
-          dispatch(strip);
-          continue;
-        }
-        if (done_.load(std::memory_order_acquire)) {
-          // Producers have stopped; drain whatever is left and exit.
-          while (ring_->try_pop(strip)) dispatch(strip);
-          return;
-        }
-        std::this_thread::yield();
-      }
-    });
-  }
-}
-
-StripDeliverer::~StripDeliverer() { finish(); }
-
-void StripDeliverer::dispatch(const QueryStrip& strip) {
-  const std::size_t nq = strip.offsets.size() - 1;
-  for (std::size_t q = 0; q < nq; ++q) {
-    callback_(strip.q0 + q,
-              std::span<const QueryMatch>(
-                  strip.matches.data() + strip.offsets[q],
-                  strip.offsets[q + 1] - strip.offsets[q]));
-  }
-}
-
-void StripDeliverer::deliver(QueryStrip&& strip) {
-  if (mode_ == StripDelivery::kRing) {
-    // Blocks while the ring is full: backpressure against a slow consumer.
-    ring_->push(std::move(strip));
-  } else {
-    std::lock_guard<std::mutex> lock(mutex_);
-    dispatch(strip);
-  }
-}
-
-void StripDeliverer::finish() {
-  if (consumer_.joinable()) {
-    done_.store(true, std::memory_order_release);
-    consumer_.join();
-  }
-}
-
-RingStreamingSink::RingStreamingSink(QueryMatchCallback callback,
-                                     std::size_t ring_capacity)
-    : deliverer_(std::move(callback), StripDelivery::kRing, ring_capacity) {}
-
-void RingStreamingSink::consume(const TileRange& range,
-                                std::span<const PairHit> hits) {
-  std::uint64_t drops = 0;
-  QueryStrip strip = regroup(range, hits, filter_, drops);
-  note_dropped(drops);
-  deliverer_.deliver(std::move(strip));
-}
-
-MergingStreamingSink::MergingStreamingSink(QueryMatchCallback callback,
-                                           std::size_t num_shards,
-                                           StripDelivery delivery,
-                                           std::size_t ring_capacity)
-    : num_shards_(num_shards),
-      deliverer_(std::move(callback), delivery, ring_capacity) {
+StreamingSink::StreamingSink(QueryMatchCallback callback,
+                             std::size_t num_shards,
+                             std::size_t ring_capacity)
+    : callback_(std::move(callback)), num_shards_(num_shards),
+      ring_(ring_capacity) {
+  FASTED_CHECK_MSG(callback_ != nullptr, "streaming sink needs a callback");
   FASTED_CHECK_MSG(num_shards_ >= 1, "streaming merge needs >= 1 shard");
+  consumer_ = std::thread([this] {
+    QueryStrip strip;
+    for (;;) {
+      if (ring_.try_pop(strip)) {
+        dispatch(strip);
+        continue;
+      }
+      if (done_.load(std::memory_order_acquire)) {
+        // Producers have stopped; drain whatever is left and exit.
+        while (ring_.try_pop(strip)) dispatch(strip);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
 }
 
-void MergingStreamingSink::consume(const TileRange& range,
-                                   std::span<const PairHit> hits) {
+StreamingSink::~StreamingSink() { stop(); }
+
+void StreamingSink::dispatch(const QueryStrip& strip) {
+  // Once a callback has thrown, later strips are still popped (so no
+  // producer blocks on a full ring) but not delivered; finish() rethrows.
+  if (failure_ != nullptr) return;
+  try {
+    const std::size_t nq = strip.offsets.size() - 1;
+    for (std::size_t q = 0; q < nq; ++q) {
+      callback_(strip.q0 + q,
+                std::span<const QueryMatch>(
+                    strip.matches.data() + strip.offsets[q],
+                    strip.offsets[q + 1] - strip.offsets[q]));
+    }
+  } catch (...) {
+    failure_ = std::current_exception();
+  }
+}
+
+void StreamingSink::consume(const TileRange& range,
+                            std::span<const PairHit> hits) {
   FASTED_CHECK_MSG(range.shard < num_shards_,
                    "tile shard out of range in streaming merge");
-  // Regroup worker-privately (no lock), splice the grouped strip in under
-  // the mutex, and do the cross-shard merge outside it again — the
-  // critical section is a few vector moves, not an O(hits) scatter.
+  // Regroup worker-privately (no lock).  With one shard the strip is
+  // complete as it stands; otherwise splice it in under the mutex and do
+  // the cross-shard merge outside it again — the critical section is a few
+  // vector moves, not an O(hits) scatter.
   std::uint64_t drops = 0;
   QueryStrip grouped = regroup(range, hits, filter_, drops);
   note_dropped(drops);
+  if (num_shards_ == 1) {
+    // Blocks while the ring is full: backpressure against a slow consumer.
+    ring_.push(std::move(grouped));
+    return;
+  }
   PendingStrip done;
-  bool complete = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     PendingStrip& strip = pending_[range.q0];
@@ -143,13 +117,10 @@ void MergingStreamingSink::consume(const TileRange& range,
     FASTED_CHECK_MSG(strip.per_shard[range.shard].offsets.empty(),
                      "shard delivered the same query strip twice");
     strip.per_shard[range.shard] = std::move(grouped);
-    if (++strip.arrived == num_shards_) {
-      done = std::move(strip);
-      pending_.erase(range.q0);
-      complete = true;
-    }
+    if (++strip.arrived < num_shards_) return;
+    done = std::move(strip);
+    pending_.erase(range.q0);
   }
-  if (!complete) return;
 
   // Merge in shard order: bases ascend and per-shard rows already ascend
   // per query, so each merged row comes out in ascending global id.
@@ -173,17 +144,28 @@ void MergingStreamingSink::consume(const TileRange& range,
                                                        shard.offsets[q + 1]));
     }
   }
-  deliverer_.deliver(std::move(ready));
+  ring_.push(std::move(ready));
 }
 
-void MergingStreamingSink::finish() {
+void StreamingSink::finish() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     FASTED_CHECK_MSG(pending_.empty(),
                      "streaming merge finished with incomplete strips — did "
                      "every shard run a query_strip plan?");
   }
-  deliverer_.finish();
+  stop();
+  // The consumer thread is joined, so failure_ is safe to read.
+  if (failure_ != nullptr) {
+    std::rethrow_exception(std::exchange(failure_, nullptr));
+  }
+}
+
+void StreamingSink::stop() {
+  if (consumer_.joinable()) {
+    done_.store(true, std::memory_order_release);
+    consumer_.join();
+  }
 }
 
 }  // namespace fasted::kernels

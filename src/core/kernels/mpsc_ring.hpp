@@ -1,13 +1,11 @@
 // Bounded multi-producer single-consumer ring buffer.
 //
-// The streaming sinks use this as the backpressure channel between the join
+// The streaming sink uses this as the backpressure channel between the join
 // workers (producers, one completed query strip per push) and the dedicated
-// callback thread (the single consumer).  The previous design delivered
-// callbacks under a sink-wide mutex on the workers themselves, so a slow
-// consumer throttled kernel throughput one lock hold at a time; with the
-// ring, workers only stall when `capacity` strips are already waiting —
-// bounded memory, and the kernel keeps running while the consumer catches
-// up.
+// callback thread (the single consumer).  Callbacks run off the workers, so
+// a slow consumer does not throttle the kernel one lock hold at a time:
+// workers only stall when `capacity` strips are already waiting — bounded
+// memory, and the kernel keeps running while the consumer catches up.
 //
 // The implementation is the Vyukov bounded-queue scheme specialized to one
 // consumer: each cell carries a sequence number; producers claim a slot with

@@ -12,12 +12,9 @@
 //                      direct mode it receives complete rows (strip or
 //                      rectangular plans).
 //   QueryJoinCsrSink   QueryJoinResult builder (keeps pipeline distances).
-//   StreamingSink      bounded-buffer per-query callback delivery; pair it
-//                      with a query_strip plan so every query's matches
-//                      complete inside one tile.  Peak memory is one tile's
-//                      hits per worker instead of the batch-wide CSR.  This
-//                      is the mutex-delivery fallback — RingStreamingSink
-//                      (merging_sink.hpp) is the bounded-MPSC default.
+//   StreamingSink      bounded-memory per-query callback delivery through a
+//                      ring to a consumer thread, merging shards per query
+//                      strip (merging_sink.hpp).
 //
 // Sharded joins reuse the CSR sinks unchanged as their merge sinks: the
 // sharded executor emits hits with global row ids, so each hit lands in its
@@ -112,17 +109,12 @@ class ResultSink {
   virtual bool wants_hits() const { return true; }
 
   // True: each tile's hits arrive in exactly one consume() call with that
-  // tile's range (corpus-block-major order; within a query, corpus ids
-  // ascend).  False: the executor batches hits across tiles per worker and
-  // `range` carries no meaning.
+  // tile's global range and shard tag (corpus-block-major order; within a
+  // query, corpus ids ascend).  Every per-tile sink reassembles a query's
+  // matches across shards (one tile per shard per query strip).  False:
+  // the executor batches hits across tiles per worker and `range` carries
+  // no meaning.
   virtual bool per_tile() const { return false; }
-
-  // Per-tile sinks only: true if the sink reassembles a query's matches
-  // across multiple corpus shards (one tile per shard per query strip).
-  // The executor rejects multi-shard joins into per-tile sinks that do not
-  // merge — a plain streaming sink would fire its callback once per shard
-  // with partial rows, silently breaking the once-per-query contract.
-  virtual bool merges_shards() const { return false; }
 
   virtual void consume(const TileRange& range,
                        std::span<const PairHit> hits) = 0;
@@ -204,30 +196,13 @@ class QueryJoinCsrSink final : public ResultSink {
   std::vector<std::vector<QueryMatch>> rows_;
 };
 
-// Called once per query (ascending within a tile; tiles complete in any
+// Called once per query (ascending within a strip; strips complete in any
 // order).  The span is only valid for the duration of the call.  Runs on
-// ThreadPool workers inside the executor's fork-join job: it must not call
-// parallel_for-backed APIs (joins, dbscan, ...) — that re-enters the pool
-// and deadlocks.  Buffer and defer any follow-up work.
+// the streaming sink's consumer thread while the join is in flight: it must
+// not call parallel_for-backed APIs (joins, dbscan, ...) — that can
+// deadlock against the workers it backpressures.  Buffer and defer any
+// follow-up work.
 using QueryMatchCallback =
     std::function<void(std::size_t query, std::span<const QueryMatch>)>;
-
-class StreamingSink final : public ResultSink {
- public:
-  explicit StreamingSink(QueryMatchCallback callback);
-
-  bool per_tile() const override { return true; }
-  void consume(const TileRange& range, std::span<const PairHit> hits) override;
-
- private:
-  QueryMatchCallback callback_;
-  std::mutex mutex_;
-  // Pre-allocated grouping scratch, bounded by one tile's hits: the
-  // executor's tile order is corpus-block-major, so hits are regrouped by
-  // query with a counting scatter before delivery.
-  std::vector<QueryMatch> scratch_;
-  std::vector<std::size_t> offsets_;
-  std::vector<std::size_t> fill_;
-};
 
 }  // namespace fasted::kernels

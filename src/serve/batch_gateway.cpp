@@ -52,8 +52,7 @@ BatchGateway::BatchGateway(std::shared_ptr<service::JoinService> service,
   FASTED_CHECK_MSG(service_ != nullptr, "BatchGateway needs a JoinService");
   FASTED_CHECK_MSG(options_.window_max_requests >= 1,
                    "window must admit at least one request");
-  corpus_dims_ = service_->is_sharded() ? service_->sharded().dims()
-                                        : service_->session().dims();
+  corpus_dims_ = service_->sharded().dims();
   if (options_.start) start();
 }
 
@@ -90,9 +89,7 @@ BatchGateway::TicketPtr BatchGateway::submit(TicketPtr ticket) {
 
 BatchGateway::TicketPtr BatchGateway::try_submit(
     service::EpsQuery request, std::chrono::nanoseconds deadline) {
-  FASTED_CHECK_MSG(request.points.rows() > 0, "empty query batch");
-  FASTED_CHECK_MSG(request.points.dims() == corpus_dims_,
-                   "query/corpus dimensionality mismatch");
+  service_->validate(request);
   auto ticket = std::make_shared<Ticket>();
   ticket->submitted_at_ = Clock::now();
   const std::chrono::nanoseconds limit =
@@ -106,9 +103,7 @@ BatchGateway::TicketPtr BatchGateway::try_submit(
 
 BatchGateway::TicketPtr BatchGateway::try_submit(
     service::KnnQuery request, std::chrono::nanoseconds deadline) {
-  FASTED_CHECK_MSG(request.points.rows() > 0, "empty query batch");
-  FASTED_CHECK_MSG(request.points.dims() == corpus_dims_,
-                   "query/corpus dimensionality mismatch");
+  service_->validate(request);
   FASTED_CHECK_MSG(request.k >= 1, "need k >= 1");
   auto ticket = std::make_shared<Ticket>();
   ticket->submitted_at_ = Clock::now();

@@ -153,8 +153,8 @@ class BatchGateway {
   // the gateway has been stopped (the rejection is tallied) — the caller
   // retries or sheds load; nothing ever queues beyond the ring.  A
   // non-zero `deadline` (measured from now) overrides
-  // GatewayOptions::default_deadline.  Malformed requests (empty batch,
-  // dimensionality mismatch, k out of range) throw CheckError at submit
+  // GatewayOptions::default_deadline.  Malformed requests (anything
+  // JoinService::validate rejects, or k < 1) throw CheckError at submit
   // time, before touching the ring.
   TicketPtr try_submit(service::EpsQuery request,
                        std::chrono::nanoseconds deadline = {});

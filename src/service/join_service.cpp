@@ -28,16 +28,6 @@ bool rank_less(const QueryMatch& a, const QueryMatch& b) {
 
 }  // namespace
 
-JoinService::JoinService(std::shared_ptr<CorpusSession> session,
-                         FastedEngine engine)
-    : session_(std::move(session)), engine_(std::move(engine)),
-      base_config_(engine_.config()),
-      pool_baseline_(ThreadPool::global().domain_load_snapshot()) {
-  FASTED_CHECK_MSG(session_ != nullptr, "JoinService needs a corpus session");
-  last_tuned_rows_ = session_->size();
-  schedule_ = tune::Schedule::defaults(base_config_, last_tuned_rows_, 1);
-}
-
 JoinService::JoinService(std::shared_ptr<ShardedCorpus> corpus,
                          FastedEngine engine)
     : shards_(std::move(corpus)), engine_(std::move(engine)),
@@ -62,7 +52,7 @@ void JoinService::set_schedule(const tune::Schedule& schedule,
                                bool rechunk_shards) {
   std::unique_lock<std::mutex> serve = admit();
   engine_ = FastedEngine(schedule.apply(base_config_));
-  if (rechunk_shards && shards_ != nullptr && schedule.shard_capacity != 0 &&
+  if (rechunk_shards && schedule.shard_capacity != 0 &&
       schedule.shard_capacity != shards_->shard_capacity()) {
     CompactOptions copts;
     copts.shard_capacity = schedule.shard_capacity;
@@ -73,7 +63,7 @@ void JoinService::set_schedule(const tune::Schedule& schedule,
   }
   std::lock_guard<std::mutex> lock(stats_mutex_);
   schedule_ = schedule;
-  last_tuned_rows_ = session_ != nullptr ? session_->size() : shards_->size();
+  last_tuned_rows_ = shards_->size();
 }
 
 tune::Schedule JoinService::schedule() const {
@@ -104,11 +94,9 @@ void JoinService::maybe_retune(std::size_t rows) {
   }
   // Model-only re-rank at the new scale: no probe joins — this runs inline
   // on the serve path, so it must stay at analytic-model cost.
-  const std::size_t domains =
-      shards_ != nullptr ? shards_->placement_domains() : 1;
   tune::AutoTuner tuner(base_config_);
   const tune::TuneReport report =
-      tuner.predict(rows, corpus_dims(), domains);
+      tuner.predict(rows, shards_->dims(), shards_->placement_domains());
   tune::Schedule chosen = report.best;
   {
     // Keep the backend's physical sharding: an inline retune changes only
@@ -126,52 +114,34 @@ void JoinService::maybe_retune(std::size_t rows) {
   ++stats_.schedule_retunes;
 }
 
-CorpusSession& JoinService::session() {
-  FASTED_CHECK_MSG(session_ != nullptr,
-                   "this JoinService serves a ShardedCorpus");
-  return *session_;
+void JoinService::validate(const EpsQuery& request) const {
+  check_rows(request.points, shards_->dims());
+  FASTED_CHECK_MSG(!std::isnan(request.eps), "search radius is NaN");
 }
 
-ShardedCorpus& JoinService::sharded() {
-  FASTED_CHECK_MSG(shards_ != nullptr,
-                   "this JoinService serves a CorpusSession");
-  return *shards_;
+void JoinService::validate(const KnnQuery& request) const {
+  check_rows(request.points, shards_->dims());
 }
 
 JoinService::CorpusRef JoinService::corpus_ref() const {
   CorpusRef ref;
-  if (session_ != nullptr) {
-    ref.views.push_back(CorpusShardView{&session_->prepared(), 0});
-    ref.rows = session_->size();
-    ref.alive = ref.rows;
-  } else {
-    ref.snap = shards_->snapshot();
-    ref.views = ShardedCorpus::shard_views(*ref.snap);
-    ref.rows =
-        ref.snap->back().shard->base + ref.snap->back().shard->rows();
-    ref.filter = ShardedCorpus::tombstone_filter(*ref.snap);
-    ref.alive = ShardedCorpus::alive_rows(*ref.snap);
-  }
+  ref.snap = shards_->snapshot();
+  ref.views = ShardedCorpus::shard_views(*ref.snap);
+  ref.rows = ref.snap->back().shard->base + ref.snap->back().shard->rows();
+  ref.filter = ShardedCorpus::tombstone_filter(*ref.snap);
+  ref.alive = ShardedCorpus::alive_rows(*ref.snap);
   return ref;
-}
-
-std::size_t JoinService::corpus_dims() const {
-  return session_ != nullptr ? session_->dims() : shards_->dims();
 }
 
 float JoinService::resolve_eps(const EpsQuery& request) {
   if (request.eps >= 0) return request.eps;
   obs::PhaseTimer timer(phases_->calibrate);
   obs::TraceSpan span("calibrate", "service");
-  return session_ != nullptr
-             ? session_->eps_for_selectivity(request.selectivity)
-             : shards_->eps_for_selectivity(request.selectivity);
+  return shards_->eps_for_selectivity(request.selectivity);
 }
 
 QueryJoinOutput JoinService::eps_join(const EpsQuery& request) {
-  FASTED_CHECK_MSG(request.points.rows() > 0, "empty query batch");
-  FASTED_CHECK_MSG(request.points.dims() == corpus_dims(),
-                   "query/corpus dimensionality mismatch");
+  validate(request);
   // Resolve the radius BEFORE admission: first-use calibration is a
   // sample join, and holding the serve slot across it would serialize
   // every concurrent cached-radius request behind one cold calibration.
@@ -206,9 +176,7 @@ QueryJoinOutput JoinService::eps_join(const EpsQuery& request) {
 
 QueryJoinOutput JoinService::eps_join(const EpsQuery& request,
                                       const EpsMatchCallback& callback) {
-  FASTED_CHECK_MSG(request.points.rows() > 0, "empty query batch");
-  FASTED_CHECK_MSG(request.points.dims() == corpus_dims(),
-                   "query/corpus dimensionality mismatch");
+  validate(request);
   FASTED_CHECK_MSG(callback != nullptr, "streaming join needs a callback");
   const float eps = resolve_eps(request);  // before admission, see above
   std::unique_lock<std::mutex> serve = admit();
@@ -220,55 +188,30 @@ QueryJoinOutput JoinService::eps_join(const EpsQuery& request,
   const PreparedDataset queries(request.points);
   const std::size_t nq = queries.rows();
   const std::size_t nc = ref.rows;
-  const std::span<const CorpusShardView> views(ref.views);
 
   // Bounded-buffer streaming through the unified pipeline: a query_strip
   // plan per shard (block_tile_m queries x the whole shard per tile)
-  // drained into a streaming sink, so matches stream out with no
-  // batch-wide buffer.  Multi-shard backends merge each strip across
-  // shards before delivery; either delivery mode preserves the per-query
-  // callback contract.  Streaming always runs the fast kernel — it is
-  // bit-identical to the emulated data path, so the requested
+  // drained into the streaming sink, which merges each strip across shards
+  // and hands it to the callback through its ring, so matches stream out
+  // with no batch-wide buffer.  Streaming always runs the fast kernel — it
+  // is bit-identical to the emulated data path, so the requested
   // ExecutionPath does not change the matches.
-  // Tombstone filtering is sink-side (the sinks drop dead-corpus matches
+  // Tombstone filtering is sink-side (the sink drops dead-corpus matches
   // before regrouping), so the executor's raw count is corrected by the
   // sink's drop tally and every delivered row holds only surviving rows.
-  const kernels::TombstoneFilter* tombstones =
-      ref.filter.any() ? &ref.filter : nullptr;
-  std::uint64_t dropped = 0;
+  kernels::StreamingSink sink(callback, ref.views.size());
+  sink.filter_tombstones(&ref.filter);
   QueryJoinOutput out;
-  if (ref.views.size() > 1) {
-    kernels::MergingStreamingSink sink(
-        callback, ref.views.size(),
-        request.delivery == StreamDelivery::kRing
-            ? kernels::StripDelivery::kRing
-            : kernels::StripDelivery::kMutex);
-    sink.filter_tombstones(tombstones);
-    out.pair_count = engine_.query_join_into(queries, views, eps, sink);
-    {
-      // finish() drains the ring / flushes pending strips: what is left of
-      // delivery after the join itself stops producing.
-      obs::PhaseTimer deliver(phases_->stream_deliver);
-      obs::TraceSpan span("stream_finish", "service");
-      sink.finish();
-    }
-    dropped = sink.dropped();
-  } else if (request.delivery == StreamDelivery::kRing) {
-    kernels::RingStreamingSink sink(callback);
-    sink.filter_tombstones(tombstones);
-    out.pair_count = engine_.query_join_into(queries, views, eps, sink);
-    {
-      obs::PhaseTimer deliver(phases_->stream_deliver);
-      obs::TraceSpan span("stream_finish", "service");
-      sink.finish();
-    }
-    dropped = sink.dropped();
-  } else {
-    kernels::StreamingSink sink(callback);
-    sink.filter_tombstones(tombstones);
-    out.pair_count = engine_.query_join_into(queries, views, eps, sink);
-    dropped = sink.dropped();
+  out.pair_count = engine_.query_join_into(
+      queries, std::span<const CorpusShardView>(ref.views), eps, sink);
+  {
+    // finish() drains the ring: what is left of delivery after the join
+    // itself stops producing.
+    obs::PhaseTimer deliver(phases_->stream_deliver);
+    obs::TraceSpan span("stream_finish", "service");
+    sink.finish();
   }
+  const std::uint64_t dropped = sink.dropped();
   out.pair_count -= dropped;
   out.host_seconds = drain.seconds();
   drain.stop();
@@ -287,12 +230,10 @@ QueryJoinOutput JoinService::eps_join(const EpsQuery& request,
 std::vector<QueryJoinOutput> JoinService::eps_join_coalesced(
     std::span<const EpsQuery> requests) {
   FASTED_CHECK_MSG(!requests.empty(), "empty coalesced window");
-  const std::size_t dims = corpus_dims();
+  const std::size_t dims = shards_->dims();
   std::size_t total = 0;
   for (const EpsQuery& r : requests) {
-    FASTED_CHECK_MSG(r.points.rows() > 0, "empty query batch");
-    FASTED_CHECK_MSG(r.points.dims() == dims,
-                     "query/corpus dimensionality mismatch");
+    validate(r);
     total += r.points.rows();
   }
 
@@ -331,7 +272,7 @@ std::vector<QueryJoinOutput> JoinService::eps_join_coalesced(
 
   const PreparedDataset queries(strip);
   kernels::DemuxSink sink(std::move(routes), ref.views.size());
-  sink.filter_tombstones(ref.filter.any() ? &ref.filter : nullptr);
+  sink.filter_tombstones(&ref.filter);
   obs::PhaseTimer drain(phases_->coalesced_drain);
   {
     obs::TraceSpan span("eps_join_coalesced", "service");
@@ -370,9 +311,7 @@ std::vector<QueryJoinOutput> JoinService::eps_join_coalesced(
 
 KnnBatchResult JoinService::knn(const KnnQuery& request,
                                 const KnnOptions& options) {
-  FASTED_CHECK_MSG(request.points.rows() > 0, "empty query batch");
-  FASTED_CHECK_MSG(request.points.dims() == corpus_dims(),
-                   "query/corpus dimensionality mismatch");
+  validate(request);
   // Like eps_join: resolve the initial radius BEFORE admission so cold
   // calibration does not serialize concurrent cached-radius requests.
   const float initial_eps = initial_knn_eps(request.k, options);
@@ -432,13 +371,12 @@ KnnBatchResult JoinService::knn_corpus(std::size_t k,
 
 float JoinService::initial_knn_eps(std::size_t k, const KnnOptions& options) {
   // The first adaptive-radius round targets ~growth * k neighbors; the
-  // backend's calibration cache amortizes the sampling across batches
+  // corpus's calibration cache amortizes the sampling across batches
   // asking for similar k.
   obs::PhaseTimer timer(phases_->calibrate);
   obs::TraceSpan span("calibrate", "service");
-  const double initial = options.initial_growth * static_cast<double>(k);
-  return session_ != nullptr ? session_->eps_for_selectivity(initial)
-                             : shards_->eps_for_selectivity(initial);
+  return shards_->eps_for_selectivity(options.initial_growth *
+                                      static_cast<double>(k));
 }
 
 std::size_t JoinService::knn_fill(const PreparedDataset& queries,

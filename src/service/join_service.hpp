@@ -1,27 +1,29 @@
-// Query-join front end over a corpus-resident session.
+// Query-join front end over a sharded corpus.
 //
 // Accepts request batches and runs them through the asymmetric query-tile x
 // corpus-tile kernels, decomposed into block-tile work items drained from
-// the WorkQueue on the shared ThreadPool.  The service serves either
-// backend:
-//
-//   CorpusSession   one immutable prepared corpus (the PR 2 reference path)
-//   ShardedCorpus   N shards, one JoinPlan per shard composed into a single
-//                   drain, results merged by global row id (bit-identical
-//                   to the 1-shard session for any shard count) — and the
-//                   corpus may grow via append() between requests.
+// the WorkQueue on the shared ThreadPool.  The one backend is a
+// ShardedCorpus: N shards (one by default), one JoinPlan per shard composed
+// into a single drain, results merged by global row id (bit-identical for
+// any shard count) — and the corpus may grow via append() and shrink via
+// erase() between requests.
 //
 // Two request shapes:
 //
 //   EpsQuery   all corpus rows within a radius, per query.  The radius can
 //              be given directly or calibrated from a selectivity target
-//              via the backend's calibration cache.  Results arrive as a
+//              via the corpus's calibration cache.  Results arrive as a
 //              CSR QueryJoinResult or stream through a per-query callback.
 //   KnnQuery   the k nearest corpus rows, per query, under the FP16-32
 //              pipeline distance.  Implemented as an adaptive-radius eps
 //              join (radius grown until enough queries are covered) with a
 //              brute-force sweep for the stragglers — results are exactly
 //              what a brute-force FP32-pipeline reference produces.
+//
+// Every entry point validates its request before admission (validate()):
+// query rows must pass check_rows (finite, within the FP16 range, the
+// corpus's dims) and eps must not be NaN.  Bad input throws CheckError; it
+// is never answered at a reinterpreted radius or with overflowed rows.
 //
 // All numerics are the bit-exact tensor-core pipeline: an EpsQuery whose
 // batch equals the corpus reproduces self_join pair-for-pair.
@@ -38,37 +40,21 @@
 #include "common/matrix.hpp"
 #include "core/fasted.hpp"
 #include "obs/histogram.hpp"
-#include "service/corpus_session.hpp"
 #include "service/sharded_corpus.hpp"
 #include "tune/schedule.hpp"
 
 namespace fasted::service {
 
-// How streaming eps-join matches travel from the join workers to the user
-// callback (see kernels/merging_sink.hpp for the mechanics).
-enum class StreamDelivery {
-  // Bounded MPSC ring to a dedicated consumer thread: workers only stall
-  // when the ring is full, so a slow callback backpressures instead of
-  // throttling the kernel one mutex hold at a time.  The callback runs on
-  // that consumer thread.
-  kRing,
-  // Legacy fallback: the callback runs inline on pool workers under a
-  // mutex.
-  kMutex,
-};
-
 struct EpsQuery {
   MatrixF32 points;
   // Search radius; negative means "calibrate from `selectivity`" using the
-  // backend's cached corpus calibration.
+  // corpus's cached calibration.  NaN is rejected.
   float eps = -1.0f;
   double selectivity = 64.0;
   // Honored by the batched eps_join.  The streaming overload always runs
   // the fast kernel (bit-identical to the emulated data path), so `path`
   // does not change its matches.
   ExecutionPath path = ExecutionPath::kFast;
-  // Streaming overload only.
-  StreamDelivery delivery = StreamDelivery::kRing;
 };
 
 struct KnnQuery {
@@ -154,11 +140,10 @@ struct ServiceStats {
 
 // Called once per query (in ascending query order within a work item; work
 // items complete in any order).  The span is only valid for the duration of
-// the call.  With StreamDelivery::kMutex the callback executes on
-// ThreadPool workers inside the join's fork-join job; with kRing it runs on
-// the sink's consumer thread while the join is still in flight.  Either
-// way it must not issue further joins or other pool-using calls (that
-// re-enters or deadlocks against the pool); buffer and defer instead.
+// the call.  The callback runs on the streaming sink's consumer thread
+// while the join is still in flight; it must not issue further joins or
+// other pool-using calls (that deadlocks against the workers it
+// backpressures) — buffer and defer instead.
 using EpsMatchCallback = kernels::QueryMatchCallback;
 
 // Requests may be issued from any number of threads: they are admitted one
@@ -169,13 +154,11 @@ using EpsMatchCallback = kernels::QueryMatchCallback;
 // queries behind it.
 class JoinService {
  public:
-  explicit JoinService(std::shared_ptr<CorpusSession> session,
-                       FastedEngine engine = FastedEngine());
   explicit JoinService(std::shared_ptr<ShardedCorpus> corpus,
                        FastedEngine engine = FastedEngine());
 
-  // Batched eps join: the full CSR result set.  Over a sharded backend the
-  // output's shard_pairs carries each shard's hit count.
+  // Batched eps join: the full CSR result set.  The output's shard_pairs
+  // carries each shard's hit count.
   QueryJoinOutput eps_join(const EpsQuery& request);
 
   // Streaming eps join: per-query matches are handed to `callback` as the
@@ -193,8 +176,8 @@ class JoinService {
   // eps_join(requests[i]) (the tile kernels compute distances independent
   // of eps and preparation is per-row — see demux_sink.hpp), but the corpus
   // traversal is paid once per window instead of once per request.  Radii
-  // are resolved (calibration) before admission, like eps_join; `path` and
-  // `delivery` are ignored (the fast kernel is bit-identical to emulated).
+  // are resolved (calibration) before admission, like eps_join; `path` is
+  // ignored (the fast kernel is bit-identical to emulated).
   // host_seconds on every output is the shared window drain's wall time.
   std::vector<QueryJoinOutput> eps_join_coalesced(
       std::span<const EpsQuery> requests);
@@ -204,8 +187,8 @@ class JoinService {
   KnnBatchResult knn(const KnnQuery& request, const KnnOptions& options = {});
 
   // All-points kNN over the resident corpus itself (query set == corpus):
-  // reuses the backend's prepared rows — no copy, no re-quantization (a
-  // sharded corpus serves its shards as successive query batches).
+  // reuses the corpus's prepared rows — no copy, no re-quantization (the
+  // shards serve as successive query batches).
   // Tombstoned rows still get a result row (they remain valid query
   // points) but are never returned as anyone's neighbor — including their
   // own: a dead row's self-match is filtered like any other dead match.
@@ -216,7 +199,7 @@ class JoinService {
   // schedule is pure execution policy, so results before and after are
   // bit-identical; only throughput and latency change.  Waits for the
   // serve slot: in-flight requests finish on the old schedule, later ones
-  // run the new one.  With `rechunk_shards`, a sharded backend is also
+  // run the new one.  With `rechunk_shards`, the corpus is also
   // compacted to the schedule's shard capacity (tombstones are left in
   // place — ids never shift under a re-tune).
   void set_schedule(const tune::Schedule& schedule,
@@ -233,17 +216,21 @@ class JoinService {
   // an explicit operator action (the CLI's --autotune).
   void enable_regime_retune(bool on = true, double factor = 4.0);
 
-  bool is_sharded() const { return shards_ != nullptr; }
-  CorpusSession& session();   // session-backed services only
-  ShardedCorpus& sharded();   // shard-backed services only
+  // Throws CheckError unless the request's rows pass check_rows against
+  // the corpus's dims (and, for EpsQuery, eps is not NaN).  Every entry
+  // point above runs it before admission; BatchGateway runs it at submit.
+  void validate(const EpsQuery& request) const;
+  void validate(const KnnQuery& request) const;
+
+  ShardedCorpus& sharded() const { return *shards_; }
   const FastedEngine& engine() const { return engine_; }
   ServiceStats stats() const;
   // stats().json() — the CLI's --stats-json payload.
   std::string stats_json() const { return stats().json(); }
 
  private:
-  // A request's pinned view of the corpus: the snapshot keeps sharded
-  // backends' shards alive for the request's duration, and `filter` carries
+  // A request's pinned view of the corpus: the snapshot keeps the shards
+  // alive for the request's duration, and `filter` carries
   // its tombstone masks (borrowed from the snapshot) so every join of the
   // request filters the exact row set the snapshot was taken with.
   struct CorpusRef {
@@ -254,7 +241,6 @@ class JoinService {
     std::size_t alive = 0;  // rows a query can actually match
   };
   CorpusRef corpus_ref() const;
-  std::size_t corpus_dims() const;
   float resolve_eps(const EpsQuery& request);
   // First adaptive-radius eps for a kNN request (resolved before admission
   // so cold calibration does not hold the serve slot).
@@ -274,7 +260,6 @@ class JoinService {
   // holds the serve slot; `rows` is the request's pinned corpus size.
   void maybe_retune(std::size_t rows);
 
-  std::shared_ptr<CorpusSession> session_;
   std::shared_ptr<ShardedCorpus> shards_;
   FastedEngine engine_;
   // The engine config as constructed, BEFORE any schedule was applied —

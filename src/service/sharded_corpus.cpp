@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/fp16.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/topology.hpp"
@@ -70,6 +72,24 @@ std::size_t slot_of(const ShardedCorpus::Snapshot& snap, std::uint32_t id) {
 
 }  // namespace
 
+void check_rows(const MatrixF32& rows, std::size_t dims) {
+  FASTED_CHECK_MSG(rows.rows() > 0, "empty row batch");
+  FASTED_CHECK_MSG(rows.dims() == dims, "row/corpus dimensionality mismatch");
+  const float limit = Fp16::max_value();
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    const float* row = rows.row(r);
+    bool in_range = true;
+    // NaN fails the comparison too, so one test covers NaN, inf and range.
+    for (std::size_t k = 0; k < dims; ++k) {
+      in_range &= std::fabs(row[k]) <= limit;
+    }
+    FASTED_CHECK_MSG(in_range,
+                     "row " + std::to_string(r) +
+                         " has a non-finite coordinate or one beyond the "
+                         "FP16 range (|x| > 65504)");
+  }
+}
+
 ShardedCorpus::Shard::Shard(MatrixF32 pts, std::size_t base_row, bool seal,
                             std::uint64_t gen, std::size_t owning_domain)
     : points(std::move(pts)),
@@ -82,7 +102,7 @@ ShardedCorpus::Shard::Shard(MatrixF32 pts, std::size_t base_row, bool seal,
 
 ShardedCorpus::ShardedCorpus(MatrixF32 corpus, ShardedCorpusOptions options)
     : dims_(corpus.dims()) {
-  FASTED_CHECK_MSG(corpus.rows() > 0, "empty corpus");
+  check_rows(corpus, dims_);
   FASTED_CHECK_MSG(options.shards >= 1, "need at least one shard");
   capacity_.store(options.shard_capacity != 0
                       ? options.shard_capacity
@@ -231,7 +251,7 @@ const index::GridIndex& ShardedCorpus::grid_on(const Shard& shard, float eps) {
     if (it != shard.grids.end()) return *it->second;
   }
   // Build outside the lock; emplace keeps the first build if another
-  // thread raced us here (same discipline as CorpusSession::grid_at).  The
+  // thread raced us here.  The
   // build runs on the shard's owning domain so the grid's cell lists are
   // first-touched next to the points they index (flat pools build inline).
   std::unique_ptr<index::GridIndex> grid;
@@ -422,9 +442,7 @@ float ShardedCorpus::eps_for_selectivity(double target) {
 }
 
 void ShardedCorpus::append(const MatrixF32& rows) {
-  FASTED_CHECK_MSG(rows.rows() > 0, "empty append");
-  FASTED_CHECK_MSG(rows.dims() == dims_,
-                   "append dimensionality mismatch");
+  check_rows(rows, dims_);
   static obs::ConcurrentHistogram& hist = lifecycle_histogram("append");
   obs::PhaseTimer timer(hist);
   obs::TraceSpan span("append", "lifecycle");

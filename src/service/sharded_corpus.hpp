@@ -1,11 +1,15 @@
-// A sharded, mutable corpus for long-lived serving sessions.
+// A sharded, mutable corpus for long-lived serving sessions — the one
+// corpus backend JoinService serves.
 //
-// CorpusSession (corpus_session.hpp) owns one immutable corpus; a
-// production service cannot re-ingest everything per update nor serve one
-// monolithic session forever.  ShardedCorpus splits the logical corpus into
-// N contiguous shards, each owning exactly the per-corpus artifacts a
-// session caches — original rows, PreparedDataset (FP16 + RZ norms), lazy
-// grid indexes, and a calibration sample — and makes the corpus mutable:
+// Production query traffic joins a stream of query batches against the
+// same corpus, so the per-corpus work (FP16 quantization, squared norms,
+// resident panels, grid indexes, selectivity calibration) is paid once at
+// ingest and amortized across every request; and a service can neither
+// re-ingest everything per update nor serve one monolithic corpus forever.
+// ShardedCorpus splits the logical corpus into N contiguous shards (one by
+// default), each owning its per-corpus artifacts — original rows,
+// PreparedDataset (FP16 + RZ norms + panels), lazy grid indexes, and a
+// calibration sample — and makes the corpus mutable:
 //
 //   append(rows)  ingests into the newest shard.  Only that shard is
 //                 re-prepared; once a shard reaches `shard_capacity` rows it
@@ -24,8 +28,8 @@
 // + local row, and every per-row artifact (FP16 quantization, RZ norm,
 // pairwise pipeline distance) depends only on the row itself — so any shard
 // count, and any append history producing the same global row order, yields
-// eps-join/knn results bit-identical to the 1-shard session (the engine's
-// sharded entry points and merging sinks preserve this end to end).
+// eps-join/knn results bit-identical to one shard over the whole corpus (the
+// engine's sharded entry points and merging sinks preserve this end to end).
 //
 // Shards are also the unit of PLACEMENT (common/topology.hpp): each shard
 // is assigned an execution domain round-robin by ordinal, its artifacts are
@@ -171,6 +175,14 @@ struct ShardInfo {
   std::size_t calibration_blocks = 0;  // cached sample-distance blocks
 };
 
+// Boundary validation for rows entering the FP16 pipeline: corpus rows at
+// construction and append, query rows at every JoinService and
+// BatchGateway entry point.  Throws CheckError unless `rows` is non-empty,
+// `dims` wide, and every coordinate is finite with |x| <=
+// Fp16::max_value() — anything else quantizes to inf/NaN, and the row's
+// matches would silently vanish inside a drain.
+void check_rows(const MatrixF32& rows, std::size_t dims);
+
 class ShardedCorpus {
  public:
   class Shard;
@@ -194,6 +206,7 @@ class ShardedCorpus {
   // references them.
   using Snapshot = std::vector<ShardSlot>;
 
+  // Rows are validated with check_rows.
   explicit ShardedCorpus(MatrixF32 corpus, ShardedCorpusOptions options = {});
 
   ShardedCorpus(const ShardedCorpus&) = delete;
@@ -230,7 +243,7 @@ class ShardedCorpus {
 
   // Candidate corpus rows (global ids) for an external query point: the
   // union of every shard's grid candidates — a superset of the true
-  // eps-neighbors, like CorpusSession::grid_at + candidates_of.
+  // eps-neighbors.
   void grid_candidates(const float* query, float eps,
                        std::vector<std::uint32_t>& out);
 
@@ -241,7 +254,8 @@ class ShardedCorpus {
 
   // Ingest rows at the end of the global row order (ids extend past the
   // current size()).  Re-prepares only the open shard; seals it at
-  // capacity and opens fresh shards as needed.  Safe to call concurrently
+  // capacity and opens fresh shards as needed.  Rows are validated with
+  // check_rows before anything changes.  Safe to call concurrently
   // with readers; concurrent mutators (append/erase/compact/rebalance)
   // serialize.
   void append(const MatrixF32& rows);

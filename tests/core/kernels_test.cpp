@@ -342,8 +342,10 @@ TEST(ResultSinks, CountCsrAndStreamingAgreePairForPair) {
         ASSERT_EQ(streamed.count(q), 0u) << "query delivered twice";
         streamed[q].assign(matches.begin(), matches.end());
       });
-  const std::uint64_t stream_pairs =
-      engine.query_join_into(queries, corpus, eps, sink);
+  const CorpusShardView whole{&corpus, 0};
+  const std::uint64_t stream_pairs = engine.query_join_into(
+      queries, std::span<const CorpusShardView>(&whole, 1), eps, sink);
+  sink.finish();
   EXPECT_EQ(stream_pairs, csr.pair_count);
   ASSERT_EQ(streamed.size(), queries.rows());
   for (std::size_t q = 0; q < queries.rows(); ++q) {
@@ -484,65 +486,23 @@ TEST(MpscRing, StressedProducersDeliverEveryItemExactlyOnce) {
   }
 }
 
-TEST(ResultSinks, RingStreamingSinkMatchesMutexStreamingSink) {
-  const auto corpus_data = data::uniform(600, 16, 99);
-  const auto query_data = data::uniform(200, 16, 100);
-  const float eps = data::calibrate_epsilon(corpus_data, 16.0).eps;
-  FastedEngine engine;
-  const PreparedDataset corpus(corpus_data);
-  const PreparedDataset queries(query_data);
-
-  std::map<std::size_t, std::vector<QueryMatch>> mutex_rows;
-  kernels::StreamingSink mutex_sink(
-      [&](std::size_t q, std::span<const QueryMatch> matches) {
-        mutex_rows[q].assign(matches.begin(), matches.end());
-      });
-  const std::uint64_t mutex_pairs =
-      engine.query_join_into(queries, corpus, eps, mutex_sink);
-
-  // Small ring (4 strips) so the workers actually hit backpressure.
-  std::map<std::size_t, std::vector<QueryMatch>> ring_rows;
-  kernels::RingStreamingSink ring_sink(
-      [&](std::size_t q, std::span<const QueryMatch> matches) {
-        ASSERT_EQ(ring_rows.count(q), 0u) << "query delivered twice";
-        ring_rows[q].assign(matches.begin(), matches.end());
-      },
-      /*ring_capacity=*/4);
-  const std::uint64_t ring_pairs =
-      engine.query_join_into(queries, corpus, eps, ring_sink);
-  ring_sink.finish();
-
-  EXPECT_EQ(ring_pairs, mutex_pairs);
-  ASSERT_EQ(ring_rows.size(), queries.rows());
-  for (std::size_t q = 0; q < queries.rows(); ++q) {
-    const auto& a = mutex_rows[q];
-    const auto& b = ring_rows[q];
-    ASSERT_EQ(b.size(), a.size()) << q;
-    for (std::size_t r = 0; r < a.size(); ++r) {
-      ASSERT_EQ(b[r].id, a[r].id) << q;
-      ASSERT_EQ(b[r].dist2, a[r].dist2) << q;
-    }
+TEST(ResultSinks, StreamingSinkRejectsTileShardBeyondItsShardCount) {
+  // A tile tagged with a shard the sink was not built for would leave a
+  // strip that can never complete (or fire a query twice); the sink must
+  // refuse it, not half-deliver.
+  const auto ignore = [](std::size_t, std::span<const QueryMatch>) {};
+  for (const std::size_t shards : {1u, 2u}) {
+    kernels::StreamingSink sink(ignore, shards);
+    kernels::TileRange tile;
+    tile.q0 = 0;
+    tile.q1 = 4;
+    tile.shard = shards;
+    EXPECT_THROW(sink.consume(tile, {}), CheckError) << shards;
+    sink.finish();
   }
 }
 
-TEST(ResultSinks, NonMergingPerTileSinksRejectMultiShardJoins) {
-  // A plain streaming sink over a multi-shard span would fire once per
-  // shard with partial rows; the executor must refuse, not half-deliver.
-  const auto data = data::uniform(100, 8, 103);
-  FastedEngine engine;
-  const PreparedDataset queries(data::uniform(20, 8, 104));
-  const PreparedShards split = prepare_shards(data, 2);
-  kernels::StreamingSink mutex_sink([](std::size_t,
-                                       std::span<const QueryMatch>) {});
-  EXPECT_THROW(engine.query_join_into(queries, split.span(), 0.5f, mutex_sink),
-               CheckError);
-  kernels::RingStreamingSink ring_sink([](std::size_t,
-                                          std::span<const QueryMatch>) {});
-  EXPECT_THROW(engine.query_join_into(queries, split.span(), 0.5f, ring_sink),
-               CheckError);
-}
-
-TEST(ResultSinks, MergingStreamingSinkReassemblesShardsPerQuery) {
+TEST(ResultSinks, StreamingSinkReassemblesShardsPerQuery) {
   const auto corpus_data = data::uniform(450, 12, 101);
   const auto query_data = data::uniform(130, 12, 102);
   const float eps = data::calibrate_epsilon(corpus_data, 16.0).eps;
@@ -551,31 +511,30 @@ TEST(ResultSinks, MergingStreamingSinkReassemblesShardsPerQuery) {
   const PreparedDataset queries(query_data);
   const auto expect = engine.query_join(queries, corpus, eps);
 
-  for (const std::size_t shards : {2u, 5u}) {
+  // One shard is the degenerate merge (strips go straight to the ring).
+  for (const std::size_t shards : {1u, 2u, 5u}) {
     const PreparedShards split = prepare_shards(corpus_data, shards);
-    for (const kernels::StripDelivery delivery :
-         {kernels::StripDelivery::kRing, kernels::StripDelivery::kMutex}) {
-      std::map<std::size_t, std::vector<QueryMatch>> rows;
-      kernels::MergingStreamingSink sink(
-          [&](std::size_t q, std::span<const QueryMatch> matches) {
-            ASSERT_EQ(rows.count(q), 0u) << "query delivered twice";
-            rows[q].assign(matches.begin(), matches.end());
-          },
-          split.views.size(), delivery);
-      const std::uint64_t pairs = engine.query_join_into(
-          queries, split.span(), eps, sink);
-      sink.finish();
+    std::map<std::size_t, std::vector<QueryMatch>> rows;
+    // Small ring (4 strips) so the workers actually hit backpressure.
+    kernels::StreamingSink sink(
+        [&](std::size_t q, std::span<const QueryMatch> matches) {
+          ASSERT_EQ(rows.count(q), 0u) << "query delivered twice";
+          rows[q].assign(matches.begin(), matches.end());
+        },
+        split.views.size(), /*ring_capacity=*/4);
+    const std::uint64_t pairs =
+        engine.query_join_into(queries, split.span(), eps, sink);
+    sink.finish();
 
-      EXPECT_EQ(pairs, expect.pair_count) << shards;
-      ASSERT_EQ(rows.size(), queries.rows()) << shards;
-      for (std::size_t q = 0; q < queries.rows(); ++q) {
-        const auto want = expect.result.matches_of(q);
-        const auto& got = rows[q];
-        ASSERT_EQ(got.size(), want.size()) << shards << " q " << q;
-        for (std::size_t r = 0; r < want.size(); ++r) {
-          ASSERT_EQ(got[r].id, want[r].id) << shards << " q " << q;
-          ASSERT_EQ(got[r].dist2, want[r].dist2) << shards << " q " << q;
-        }
+    EXPECT_EQ(pairs, expect.pair_count) << shards;
+    ASSERT_EQ(rows.size(), queries.rows()) << shards;
+    for (std::size_t q = 0; q < queries.rows(); ++q) {
+      const auto want = expect.result.matches_of(q);
+      const auto& got = rows[q];
+      ASSERT_EQ(got.size(), want.size()) << shards << " q " << q;
+      for (std::size_t r = 0; r < want.size(); ++r) {
+        ASSERT_EQ(got[r].id, want[r].id) << shards << " q " << q;
+        ASSERT_EQ(got[r].dist2, want[r].dist2) << shards << " q " << q;
       }
     }
   }

@@ -13,17 +13,18 @@
 
 #include <bit>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
-#include "common/topology.hpp"
+#include "common/check.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
 #include "serve/batch_gateway.hpp"
 #include "service/join_service.hpp"
+#include "support/serving.hpp"
 
 namespace fasted::serve {
 namespace {
@@ -31,32 +32,13 @@ namespace {
 using service::EpsQuery;
 using service::JoinService;
 using service::KnnQuery;
+using test_support::ScopedTopology;
 
-class ScopedTopology {
- public:
-  explicit ScopedTopology(std::size_t domains, std::size_t threads = 4) {
-    const Topology topo = Topology::synthetic(domains);
-    ThreadPool::reset_global(threads, &topo);
-  }
-  ~ScopedTopology() { ThreadPool::reset_global(); }
-};
-
+// Gateway answers must also carry the standalone per-shard hit counts.
 void expect_same_eps(const QueryJoinOutput& expect, const QueryJoinOutput& got,
                      const std::string& label) {
-  ASSERT_EQ(got.pair_count, expect.pair_count) << label;
   ASSERT_EQ(got.shard_pairs, expect.shard_pairs) << label;
-  ASSERT_EQ(got.result.num_queries(), expect.result.num_queries()) << label;
-  for (std::size_t q = 0; q < expect.result.num_queries(); ++q) {
-    const auto a = expect.result.matches_of(q);
-    const auto b = got.result.matches_of(q);
-    ASSERT_EQ(b.size(), a.size()) << label << " query " << q;
-    for (std::size_t r = 0; r < a.size(); ++r) {
-      ASSERT_EQ(b[r].id, a[r].id) << label << " query " << q;
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(b[r].dist2),
-                std::bit_cast<std::uint32_t>(a[r].dist2))
-          << label << " query " << q;
-    }
-  }
+  test_support::expect_same_eps(expect, got, label);
 }
 
 // Submits with retry: the default ring never fills in these tests, but a
@@ -202,7 +184,7 @@ TEST(GatewayCoalescing, KnnAndMixedWindowsMatchSequential) {
   const auto data = data::uniform(300, 10, 951);
   const float eps = data::calibrate_epsilon(data, 18.0).eps;
   auto svc = std::make_shared<JoinService>(
-      std::make_shared<service::CorpusSession>(MatrixF32(data)));
+      test_support::one_shard(data));
 
   std::vector<KnnQuery> knns(3);
   knns[0] = KnnQuery{data::uniform(25, 10, 960), 4};
@@ -255,7 +237,7 @@ TEST(GatewayCoalescing, KnnAndMixedWindowsMatchSequential) {
 TEST(GatewayAdmission, ExpiredRequestsDropAtDispatchWithoutBlocking) {
   const auto data = data::uniform(200, 8, 971);
   auto svc = std::make_shared<JoinService>(
-      std::make_shared<service::CorpusSession>(MatrixF32(data)));
+      test_support::one_shard(data));
 
   GatewayOptions gopts;
   gopts.window_max_requests = 4;
@@ -299,7 +281,7 @@ TEST(GatewayAdmission, ExpiredRequestsDropAtDispatchWithoutBlocking) {
 TEST(GatewayAdmission, RingFullRejectsInsteadOfQueueing) {
   const auto data = data::uniform(200, 8, 981);
   auto svc = std::make_shared<JoinService>(
-      std::make_shared<service::CorpusSession>(MatrixF32(data)));
+      test_support::one_shard(data));
 
   GatewayOptions gopts;
   gopts.ring_capacity = 4;  // rounds to exactly 4 slots
@@ -341,6 +323,35 @@ TEST(GatewayAdmission, RingFullRejectsInsteadOfQueueing) {
   EXPECT_EQ(gateway.try_submit(EpsQuery{MatrixF32(request.points),
                                         request.eps}),
             nullptr);
+}
+
+// Boundary validation at admission: a NaN radius or query rows outside the
+// FP16 range throw CheckError from try_submit, before touching the ring —
+// never served at a calibrated radius or with overflowed rows.
+TEST(GatewayAdmission, RejectsInvalidRequestsAtSubmit) {
+  const auto data = data::uniform(120, 8, 1011);
+  auto svc = std::make_shared<JoinService>(test_support::one_shard(data));
+  GatewayOptions gopts;
+  gopts.start = false;
+  BatchGateway gateway(svc, gopts);
+
+  const MatrixF32 points = data::uniform(4, 8, 1012);
+  EXPECT_THROW(gateway.try_submit(EpsQuery{
+                   MatrixF32(points), std::numeric_limits<float>::quiet_NaN()}),
+               CheckError);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(), 1.0e5f}) {
+    MatrixF32 rows(points);
+    rows.row(2)[6] = bad;
+    EXPECT_THROW(gateway.try_submit(EpsQuery{MatrixF32(rows), 0.5f}),
+                 CheckError)
+        << bad;
+    EXPECT_THROW(gateway.try_submit(KnnQuery{MatrixF32(rows), 2}), CheckError)
+        << bad;
+  }
+  const GatewayStats stats = gateway.stats();
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.rejected, 0u);  // malformed, not backpressured
 }
 
 // Concurrent clients: 8 threads submit through one gateway; every response

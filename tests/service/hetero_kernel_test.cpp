@@ -21,50 +21,23 @@
 #include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
-#include "common/topology.hpp"
 #include "core/kernels/kernel_context.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
 #include "serve/batch_gateway.hpp"
 #include "service/join_service.hpp"
+#include "support/serving.hpp"
 #include "tune/schedule.hpp"
 
 namespace fasted::service {
 namespace {
 
-// Rebuilds the global pool with a synthetic D-domain topology on entry and
-// restores the environment-default pool on destruction.
-class ScopedTopology {
- public:
-  explicit ScopedTopology(std::size_t domains, std::size_t threads = 4) {
-    const Topology topo = Topology::synthetic(domains);
-    ThreadPool::reset_global(threads, &topo);
-  }
-  ~ScopedTopology() { ThreadPool::reset_global(); }
-};
-
-// Scoped FASTED_STEAL pin (the executor reads it per join).
-class ScopedSteal {
- public:
-  explicit ScopedSteal(bool enabled) {
-    const char* saved = std::getenv("FASTED_STEAL");
-    saved_ = saved != nullptr ? saved : "";
-    had_ = saved != nullptr;
-    setenv("FASTED_STEAL", enabled ? "1" : "0", 1);
-  }
-  ~ScopedSteal() {
-    if (had_) {
-      setenv("FASTED_STEAL", saved_.c_str(), 1);
-    } else {
-      unsetenv("FASTED_STEAL");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
+using test_support::expect_same_eps;
+using test_support::one_shard;
+using test_support::reference_eps;
+using test_support::reference_knn;
+using test_support::ScopedSteal;
+using test_support::ScopedTopology;
 
 // The assignments under test: homogeneous scalar, per-domain best, and a
 // genuinely heterogeneous per-domain split (domain 0 scalar, domain 1 the
@@ -73,23 +46,6 @@ class ScopedSteal {
 std::vector<std::string> kernel_assignments() {
   const std::string best = kernels::KernelRegistry::global().best().name;
   return {"scalar", "auto", "scalar," + best};
-}
-
-void expect_same_eps(const QueryJoinOutput& expect, const QueryJoinOutput& got,
-                     const std::string& label) {
-  ASSERT_EQ(got.pair_count, expect.pair_count) << label;
-  ASSERT_EQ(got.result.num_queries(), expect.result.num_queries()) << label;
-  for (std::size_t q = 0; q < expect.result.num_queries(); ++q) {
-    const auto a = expect.result.matches_of(q);
-    const auto b = got.result.matches_of(q);
-    ASSERT_EQ(b.size(), a.size()) << label << " query " << q;
-    for (std::size_t r = 0; r < a.size(); ++r) {
-      ASSERT_EQ(b[r].id, a[r].id) << label << " query " << q;
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(b[r].dist2),
-                std::bit_cast<std::uint32_t>(a[r].dist2))
-          << label << " query " << q;
-    }
-  }
 }
 
 TEST(HeteroKernel, EpsAndKnnBitIdenticalAcrossKernelAssignments) {
@@ -109,9 +65,8 @@ TEST(HeteroKernel, EpsAndKnnBitIdenticalAcrossKernelAssignments) {
   KnnBatchResult knn_expect;
   {
     ScopedTopology flat(1);
-    JoinService svc(std::make_shared<CorpusSession>(MatrixF32(data)));
-    eps_expect = svc.eps_join(eps_request);
-    knn_expect = svc.knn(knn_request);
+    eps_expect = reference_eps(data, queries, eps);
+    knn_expect = reference_knn(data, queries, knn_request.k);
   }
 
   for (const std::size_t domains : {std::size_t{1}, std::size_t{2}}) {
@@ -185,12 +140,8 @@ TEST(HeteroKernel, CoalescedGatewayBitIdenticalAcrossKernelAssignments) {
   }
   {
     ScopedTopology flat(1);
-    JoinService svc(std::make_shared<CorpusSession>(MatrixF32(data)));
     for (std::size_t c = 0; c < kClients; ++c) {
-      EpsQuery request;
-      request.points = MatrixF32(client_queries[c]);
-      request.eps = eps;
-      expects[c] = svc.eps_join(request);
+      expects[c] = reference_eps(data, client_queries[c], eps);
     }
   }
 
@@ -283,16 +234,14 @@ TEST(HeteroKernel, ConcurrentServicesWithDifferentKernelsDoNotInterfere) {
   QueryJoinOutput expect;
   {
     ScopedTopology flat(1);
-    JoinService svc(std::make_shared<CorpusSession>(MatrixF32(data)));
-    expect = svc.eps_join(request);
+    expect = reference_eps(data, queries, eps);
   }
 
   ScopedTopology topo(2);
   const auto make_service = [&](const std::string& selection) {
     FastedConfig cfg = FastedConfig::paper_defaults();
     cfg.rz_kernel = selection;
-    return std::make_shared<JoinService>(
-        std::make_shared<CorpusSession>(MatrixF32(data)), FastedEngine(cfg));
+    return std::make_shared<JoinService>(one_shard(data), FastedEngine(cfg));
   };
   auto scalar_svc = make_service("scalar");
   auto best_svc = make_service("auto");

@@ -7,20 +7,19 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
+#include "support/serving.hpp"
 
 namespace fasted::service {
 namespace {
 
-std::shared_ptr<CorpusSession> make_session(const MatrixF32& corpus) {
-  return std::make_shared<CorpusSession>(MatrixF32(corpus));
-}
+using test_support::one_shard;
 
 // Acceptance: an EpsQuery batch whose query set equals the corpus
 // reproduces self_join bit-exactly — same pair count, same neighbor lists.
@@ -31,7 +30,7 @@ TEST(JoinService, EpsBatchEqualToCorpusReproducesSelfJoin) {
   FastedEngine engine;
   const auto self = engine.self_join(data, eps);
 
-  JoinService svc(make_session(data), engine);
+  JoinService svc(one_shard(data), engine);
   EpsQuery request;
   request.points = data;
   request.eps = eps;
@@ -55,7 +54,7 @@ TEST(JoinService, EmulatedPathReproducesSelfJoinToo) {
   FastedEngine engine;
   const auto self = engine.self_join(data, eps);
 
-  JoinService svc(make_session(data), engine);
+  JoinService svc(one_shard(data), engine);
   EpsQuery request;
   request.points = data;
   request.eps = eps;
@@ -66,7 +65,7 @@ TEST(JoinService, EmulatedPathReproducesSelfJoinToo) {
 
 TEST(JoinService, CalibratedEpsQueryUsesSessionCache) {
   const auto data = data::uniform(300, 8, 53);
-  JoinService svc(make_session(data));
+  JoinService svc(one_shard(data));
 
   EpsQuery request;
   request.points = data;
@@ -76,7 +75,7 @@ TEST(JoinService, CalibratedEpsQueryUsesSessionCache) {
   const auto out2 = svc.eps_join(request);
   EXPECT_EQ(out1.pair_count, out2.pair_count);
 
-  const auto stats = svc.session().stats();
+  const auto stats = svc.sharded().stats();
   EXPECT_EQ(stats.calibration_misses, 1u);
   EXPECT_GE(stats.calibration_hits, 1u);
 }
@@ -84,7 +83,7 @@ TEST(JoinService, CalibratedEpsQueryUsesSessionCache) {
 TEST(JoinService, StreamingCallbackMatchesCsrResult) {
   const auto corpus = data::uniform(350, 8, 54);
   const auto queries = data::uniform(140, 8, 55);
-  JoinService svc(make_session(corpus));
+  JoinService svc(one_shard(corpus));
 
   EpsQuery request;
   request.points = queries;
@@ -111,51 +110,48 @@ TEST(JoinService, StreamingCallbackMatchesCsrResult) {
   }
 }
 
-TEST(JoinService, StreamingMutexFallbackMatchesRingDelivery) {
-  const auto corpus = data::uniform(300, 8, 56);
-  const auto queries = data::uniform(100, 8, 57);
-  JoinService svc(make_session(corpus));
-
-  EpsQuery request;
-  request.points = queries;
-  request.eps = 0.7f;
-  const auto batched = svc.eps_join(request);
-
-  for (const StreamDelivery delivery :
-       {StreamDelivery::kRing, StreamDelivery::kMutex}) {
-    request.delivery = delivery;
-    std::vector<std::vector<QueryMatch>> streamed(queries.rows());
-    const auto out = svc.eps_join(
-        request, [&](std::size_t q, std::span<const QueryMatch> m) {
-          streamed[q].assign(m.begin(), m.end());
-        });
-    EXPECT_EQ(out.pair_count, batched.pair_count);
-    for (std::size_t i = 0; i < queries.rows(); ++i) {
-      const auto expect = batched.result.matches_of(i);
-      ASSERT_EQ(streamed[i].size(), expect.size()) << i;
-      for (std::size_t r = 0; r < expect.size(); ++r) {
-        EXPECT_EQ(streamed[i][r].id, expect[r].id) << i;
-        EXPECT_EQ(streamed[i][r].dist2, expect[r].dist2) << i;
-      }
-    }
-  }
-}
-
 TEST(JoinService, BackendAccessorsMatchConstruction) {
   const auto corpus = data::uniform(60, 8, 58);
-  JoinService by_session(make_session(corpus));
-  EXPECT_FALSE(by_session.is_sharded());
-  EXPECT_EQ(by_session.session().size(), 60u);
-  EXPECT_THROW(by_session.sharded(), CheckError);
+  const auto single = one_shard(corpus);
+  JoinService by_default(single);
+  EXPECT_EQ(&by_default.sharded(), single.get());
+  EXPECT_EQ(by_default.sharded().size(), 60u);
+  EXPECT_EQ(by_default.sharded().shard_count(), 1u);
 
   ShardedCorpusOptions opts;
   opts.shards = 2;
   JoinService by_shards(
       std::make_shared<ShardedCorpus>(MatrixF32(corpus), opts));
-  EXPECT_TRUE(by_shards.is_sharded());
   EXPECT_EQ(by_shards.sharded().size(), 60u);
   EXPECT_EQ(by_shards.sharded().shard_count(), 2u);
-  EXPECT_THROW(by_shards.session(), CheckError);
+}
+
+// A callback that throws runs on the sink's consumer thread; the exception
+// reaches the eps_join caller (no hang, no terminate), and the service keeps
+// serving.
+TEST(JoinService, StreamingCallbackExceptionReachesTheCaller) {
+  const auto corpus = data::uniform(300, 8, 78);
+  const auto queries = data::uniform(120, 8, 79);
+  for (const std::size_t shards : {1u, 3u}) {
+    ShardedCorpusOptions opts;
+    opts.shards = shards;
+    JoinService svc(std::make_shared<ShardedCorpus>(MatrixF32(corpus), opts));
+    EpsQuery request;
+    request.points = queries;
+    request.eps = 0.7f;
+    EXPECT_THROW(svc.eps_join(request,
+                              [](std::size_t q, std::span<const QueryMatch>) {
+                                if (q == 70) throw std::runtime_error("stop");
+                              }),
+                 std::runtime_error)
+        << shards;
+
+    std::size_t delivered = 0;
+    svc.eps_join(request, [&](std::size_t, std::span<const QueryMatch>) {
+      ++delivered;
+    });
+    EXPECT_EQ(delivered, queries.rows()) << shards;
+  }
 }
 
 // Acceptance: KnnQuery results match a brute-force reference of the FP32
@@ -165,7 +161,7 @@ TEST(JoinService, KnnMatchesBruteForceReference) {
   const auto queries = data::uniform(30, 8, 57);
   const std::size_t k = 4;
 
-  JoinService svc(make_session(corpus));
+  JoinService svc(one_shard(corpus));
   KnnQuery request;
   request.points = queries;
   request.k = k;
@@ -193,7 +189,7 @@ TEST(JoinService, KnnMatchesBruteForceReference) {
 TEST(JoinService, KnnTinyRadiusStartConvergesViaAdaptiveRounds) {
   const auto corpus = data::uniform(200, 8, 58);
   const auto queries = data::uniform(25, 8, 59);
-  JoinService svc(make_session(corpus));
+  JoinService svc(one_shard(corpus));
 
   KnnQuery request;
   request.points = queries;
@@ -212,7 +208,7 @@ TEST(JoinService, KnnTinyRadiusStartConvergesViaAdaptiveRounds) {
 TEST(JoinService, KnnKEqualsCorpusSizeRanksEverything) {
   const auto corpus = data::uniform(40, 8, 60);
   const auto queries = data::uniform(5, 8, 61);
-  JoinService svc(make_session(corpus));
+  JoinService svc(one_shard(corpus));
   KnnQuery request;
   request.points = queries;
   request.k = 40;
@@ -228,7 +224,7 @@ TEST(JoinService, KnnKEqualsCorpusSizeRanksEverything) {
 
 TEST(JoinService, KnnCorpusMatchesExplicitSelfBatch) {
   const auto corpus = data::uniform(150, 8, 67);
-  JoinService svc(make_session(corpus));
+  JoinService svc(one_shard(corpus));
 
   KnnQuery request;
   request.points = corpus;
@@ -251,7 +247,7 @@ TEST(JoinService, ConcurrentRequestsAreAdmittedSafely) {
   // the same answer as a serial run.
   const auto corpus = data::uniform(200, 8, 68);
   const auto queries = data::uniform(40, 8, 69);
-  JoinService svc(make_session(corpus));
+  JoinService svc(one_shard(corpus));
 
   EpsQuery request;
   request.points = queries;
@@ -273,7 +269,7 @@ TEST(JoinService, ConcurrentRequestsAreAdmittedSafely) {
 TEST(JoinService, StatsAccumulateAcrossBatches) {
   const auto corpus = data::uniform(150, 8, 62);
   const auto queries = data::uniform(60, 8, 63);
-  JoinService svc(make_session(corpus));
+  JoinService svc(one_shard(corpus));
 
   EpsQuery eq;
   eq.points = queries;
@@ -295,14 +291,7 @@ TEST(JoinService, StatsAccumulateAcrossBatches) {
 // deltas since service construction, so two services sharing the global
 // pool never report each other's tiles.
 TEST(JoinService, DomainLoadsAreScopedToTheService) {
-  class ScopedTopology {
-   public:
-    explicit ScopedTopology(std::size_t domains) {
-      const Topology topo = Topology::synthetic(domains);
-      ThreadPool::reset_global(4, &topo);
-    }
-    ~ScopedTopology() { ThreadPool::reset_global(); }
-  } topo(2);
+  test_support::ScopedTopology topo(2);
 
   const auto data = data::uniform(700, 8, 70);
   const auto queries = data::uniform(24, 8, 71);
@@ -344,7 +333,7 @@ TEST(JoinService, DomainLoadsAreScopedToTheService) {
 TEST(JoinService, PhaseLatenciesPopulateWithNonZeroQuantiles) {
   const auto corpus = data::uniform(200, 8, 72);
   const auto queries = data::uniform(50, 8, 73);
-  JoinService svc(make_session(corpus));
+  JoinService svc(one_shard(corpus));
 
   EpsQuery eq;
   eq.points = queries;
@@ -424,14 +413,13 @@ TEST(JoinService, RegimeRetuneFiresOnCorpusGrowthOnly) {
   svc.eps_join(eq);
   EXPECT_EQ(svc.stats().schedule_retunes, 1u);
 
-  // Results on the retuned engine match a fresh default-schedule service.
+  // Results on the retuned engine match the default-schedule engine's.
   MatrixF32 all(seed_rows.rows() + growth.rows(), seed_rows.dims());
   std::memcpy(all.row(0), seed_rows.row(0),
               seed_rows.rows() * seed_rows.stride() * sizeof(float));
   std::memcpy(all.row(seed_rows.rows()), growth.row(0),
               growth.rows() * growth.stride() * sizeof(float));
-  JoinService fresh(make_session(all));
-  const auto expect = fresh.eps_join(eq);
+  const auto expect = test_support::reference_eps(all, queries, eq.eps);
   ASSERT_EQ(retuned.pair_count, expect.pair_count);
   for (std::size_t q = 0; q < expect.result.num_queries(); ++q) {
     const auto a = expect.result.matches_of(q);
@@ -445,7 +433,7 @@ TEST(JoinService, RegimeRetuneFiresOnCorpusGrowthOnly) {
 
 TEST(JoinService, RejectsBadRequests) {
   const auto corpus = data::uniform(50, 8, 64);
-  JoinService svc(make_session(corpus));
+  JoinService svc(one_shard(corpus));
 
   EpsQuery empty;
   empty.points = MatrixF32(0, 8);
@@ -463,8 +451,77 @@ TEST(JoinService, RejectsBadRequests) {
   bad_k.k = 0;
   EXPECT_THROW(svc.knn(bad_k), CheckError);
 
-  EXPECT_THROW(JoinService(std::shared_ptr<CorpusSession>()), CheckError);
   EXPECT_THROW(JoinService(std::shared_ptr<ShardedCorpus>()), CheckError);
+}
+
+// Boundary validation: inputs the FP16 pipeline would answer wrongly are
+// rejected with CheckError before admission, at every entry point.
+MatrixF32 with_value(const MatrixF32& rows, std::size_t r, std::size_t k,
+                     float value) {
+  MatrixF32 out(rows);
+  out.row(r)[k] = value;
+  return out;
+}
+
+const float kBadCoordinates[] = {
+    std::numeric_limits<float>::quiet_NaN(),
+    std::numeric_limits<float>::infinity(),
+    -std::numeric_limits<float>::infinity(),
+    65520.0f,  // past Fp16::max_value() (65504): rounds to FP16 inf
+    -1.0e6f,
+};
+
+TEST(JoinService, RejectsNanRadiusInsteadOfCalibrating) {
+  const auto corpus = data::uniform(80, 8, 74);
+  JoinService svc(one_shard(corpus));
+  EpsQuery request;
+  request.points = data::uniform(6, 8, 75);
+  request.eps = std::numeric_limits<float>::quiet_NaN();
+
+  EXPECT_THROW(svc.eps_join(request), CheckError);
+  EXPECT_THROW(svc.eps_join(request, [](std::size_t,
+                                        std::span<const QueryMatch>) {}),
+               CheckError);
+  const EpsQuery window[] = {request};
+  EXPECT_THROW(svc.eps_join_coalesced(window), CheckError);
+  // Nothing was admitted or calibrated.
+  EXPECT_EQ(svc.stats().eps_batches, 0u);
+  EXPECT_EQ(svc.sharded().stats().calibration_misses, 0u);
+
+  // Negative radii still mean "calibrate".
+  request.eps = -1.0f;
+  EXPECT_NO_THROW(svc.eps_join(request));
+}
+
+TEST(JoinService, RejectsQueryRowsOutsideTheFp16Range) {
+  const auto corpus = data::uniform(80, 8, 76);
+  const auto queries = data::uniform(6, 8, 77);
+  JoinService svc(one_shard(corpus));
+  for (const float bad : kBadCoordinates) {
+    EpsQuery eq;
+    eq.points = with_value(queries, 3, 5, bad);
+    eq.eps = 0.5f;
+    EXPECT_THROW(svc.eps_join(eq), CheckError) << bad;
+    EXPECT_THROW(svc.eps_join(eq, [](std::size_t,
+                                     std::span<const QueryMatch>) {}),
+                 CheckError)
+        << bad;
+    const EpsQuery window[] = {eq};
+    EXPECT_THROW(svc.eps_join_coalesced(window), CheckError) << bad;
+
+    KnnQuery kq;
+    kq.points = with_value(queries, 0, 0, bad);
+    kq.k = 2;
+    EXPECT_THROW(svc.knn(kq), CheckError) << bad;
+  }
+  EXPECT_EQ(svc.stats().eps_batches, 0u);
+  EXPECT_EQ(svc.stats().knn_batches, 0u);
+
+  // The largest FP16 magnitude itself is representable and served.
+  EpsQuery edge;
+  edge.points = with_value(queries, 0, 0, -65504.0f);
+  edge.eps = 0.5f;
+  EXPECT_NO_THROW(svc.eps_join(edge));
 }
 
 }  // namespace

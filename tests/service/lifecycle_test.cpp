@@ -2,8 +2,8 @@
 // physical tombstone drops), and domain migration — all property-tested
 // against the merge invariant: per-row artifacts depend only on the row, so
 // any re-chunking / renumbering / placement of the SURVIVING rows yields
-// eps/knn results bit-identical to a fresh single-session corpus holding
-// exactly those rows.
+// eps/knn results bit-identical to the references (tests/support) over a
+// corpus holding exactly those rows.
 //
 // Also here: the append/steal hardening satellites — the exact-capacity
 // seal-boundary regression and the concurrent append/erase/serve/stats
@@ -13,31 +13,22 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
-#include "common/topology.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
 #include "service/join_service.hpp"
+#include "support/serving.hpp"
 
 namespace fasted::service {
 namespace {
 
-// Rebuilds the global pool with a synthetic D-domain topology on entry and
-// restores the environment-default pool on destruction.
-class ScopedTopology {
- public:
-  explicit ScopedTopology(std::size_t domains, std::size_t threads = 4) {
-    const Topology topo = Topology::synthetic(domains);
-    ThreadPool::reset_global(threads, &topo);
-  }
-  ~ScopedTopology() { ThreadPool::reset_global(); }
-};
+using test_support::reference_eps;
+using test_support::reference_knn;
+using test_support::ScopedTopology;
 
 std::vector<std::uint32_t> every_kth(std::size_t n, std::size_t k) {
   std::vector<std::uint32_t> ids;
@@ -122,8 +113,8 @@ TEST(CorpusLifecycle, EraseFiltersMatchesBitExactly) {
   request.eps = eps;
 
   // Reference: the dead rows physically never existed.
-  JoinService ref(std::make_shared<CorpusSession>(remove_rows(data, dead)));
-  const QueryJoinOutput expect = ref.eps_join(request);
+  const QueryJoinOutput expect =
+      reference_eps(remove_rows(data, dead), queries, eps);
 
   ShardedCorpusOptions opts;
   opts.shards = 3;
@@ -136,29 +127,39 @@ TEST(CorpusLifecycle, EraseFiltersMatchesBitExactly) {
   expect_eps_equal_remapped(expect, svc.eps_join(request), survivors,
                             "tombstoned");
 
-  // The streaming path filters identically (matches delivered per query).
-  std::vector<std::vector<QueryMatch>> streamed(queries.rows());
-  const auto streaming_out = svc.eps_join(
-      request, [&](std::size_t q, std::span<const QueryMatch> matches) {
-        streamed[q].assign(matches.begin(), matches.end());
-      });
-  ASSERT_EQ(streaming_out.pair_count, expect.pair_count);
-  for (std::size_t q = 0; q < queries.rows(); ++q) {
-    const auto a = expect.result.matches_of(q);
-    ASSERT_EQ(streamed[q].size(), a.size()) << q;
-    for (std::size_t r = 0; r < a.size(); ++r) {
-      ASSERT_EQ(streamed[q][r].id, survivors[a[r].id]) << q;
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(streamed[q][r].dist2),
-                std::bit_cast<std::uint32_t>(a[r].dist2))
-          << q;
+  // The streaming path filters identically (matches delivered per query),
+  // through the cross-shard merge and through the one-shard direct path.
+  const auto expect_streamed = [&](JoinService& service,
+                                   const std::string& label) {
+    std::vector<std::vector<QueryMatch>> streamed(queries.rows());
+    const auto streaming_out = service.eps_join(
+        request, [&](std::size_t q, std::span<const QueryMatch> matches) {
+          streamed[q].assign(matches.begin(), matches.end());
+        });
+    ASSERT_EQ(streaming_out.pair_count, expect.pair_count) << label;
+    for (std::size_t q = 0; q < queries.rows(); ++q) {
+      const auto a = expect.result.matches_of(q);
+      ASSERT_EQ(streamed[q].size(), a.size()) << label << " q " << q;
+      for (std::size_t r = 0; r < a.size(); ++r) {
+        ASSERT_EQ(streamed[q][r].id, survivors[a[r].id]) << label << " q " << q;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(streamed[q][r].dist2),
+                  std::bit_cast<std::uint32_t>(a[r].dist2))
+            << label << " q " << q;
+      }
     }
-  }
+  };
+  expect_streamed(svc, "shards=3");
+  auto single = test_support::one_shard(data);
+  single->erase(dead);
+  JoinService single_svc(single);
+  expect_streamed(single_svc, "shards=1");
 
   // kNN never returns a dead row either.
   KnnQuery knn_request;
   knn_request.points = MatrixF32(queries);
   knn_request.k = 5;
-  const KnnBatchResult knn_expect = ref.knn(knn_request);
+  const KnnBatchResult knn_expect =
+      reference_knn(remove_rows(data, dead), queries, knn_request.k);
   expect_knn_equal_remapped(knn_expect, svc.knn(knn_request), queries.rows(),
                             knn_request.k, survivors, "tombstoned knn");
 
@@ -267,12 +268,13 @@ TEST(CorpusLifecycle, CompactDropsTombstonesAndRenumbersSurvivors) {
   knn_request.points = MatrixF32(queries);
   knn_request.k = 4;
 
-  // Reference: a fresh session over exactly the surviving rows — after a
-  // full-drop compaction the renumbered sharded corpus must MATCH IT
-  // DIRECTLY (ids and all), no remap.
-  JoinService ref(std::make_shared<CorpusSession>(remove_rows(data, dead)));
-  const QueryJoinOutput expect = ref.eps_join(request);
-  const KnnBatchResult knn_expect = ref.knn(knn_request);
+  // Reference: exactly the surviving rows — after a full-drop compaction
+  // the renumbered sharded corpus must MATCH IT DIRECTLY (ids and all), no
+  // remap.
+  const MatrixF32 removed = remove_rows(data, dead);
+  const QueryJoinOutput expect = reference_eps(removed, queries, eps);
+  const KnnBatchResult knn_expect =
+      reference_knn(removed, queries, knn_request.k);
 
   ShardedCorpusOptions opts;
   opts.shards = 3;
@@ -607,10 +609,9 @@ TEST(CorpusLifecycle, ConcurrentMutatorsAndReadersStaySane) {
   EpsQuery request;
   request.points = MatrixF32(queries);
   request.eps = eps;
-  JoinService ref(
-      std::make_shared<CorpusSession>(remove_rows(all, dead_now)));
-  expect_eps_equal_remapped(ref.eps_join(request), svc.eps_join(request),
-                            survivors, "post-stress");
+  expect_eps_equal_remapped(
+      reference_eps(remove_rows(all, dead_now), queries, eps),
+      svc.eps_join(request), survivors, "post-stress");
 }
 
 }  // namespace

@@ -1,25 +1,30 @@
 // The sharding safety invariant, tested as properties over randomized
 // corpora and query batches: a ShardedCorpus with ANY shard count — and
 // ANY append history producing the same global row order — serves eps-join
-// and kNN results BIT-identical to the single-session PR 2 path
-// (JoinService over CorpusSession).  Streaming delivery (ring and mutex,
-// merged across shards) must agree with the batched CSR pair-for-pair.
+// and kNN results BIT-identical to the references (the engine's query join
+// against one PreparedDataset, and a brute-force kNN ranking).  Streaming
+// delivery (merged across shards) must agree with the batched CSR
+// pair-for-pair.
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstring>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
 #include "service/join_service.hpp"
+#include "support/serving.hpp"
 
 namespace fasted::service {
 namespace {
+
+using test_support::reference_eps;
+using test_support::reference_knn;
 
 constexpr std::size_t kShardCounts[] = {1, 2, 3, 7};
 
@@ -55,26 +60,14 @@ std::shared_ptr<ShardedCorpus> appended_corpus(const MatrixF32& data,
   return corpus;
 }
 
+// Bit identity, plus per-shard hit counts that add up to the total.
 void expect_same_eps_results(const QueryJoinOutput& expect,
                              const QueryJoinOutput& got,
-                             const char* label) {
-  ASSERT_EQ(got.pair_count, expect.pair_count) << label;
-  ASSERT_EQ(got.result.num_queries(), expect.result.num_queries()) << label;
+                             const std::string& label) {
   std::uint64_t shard_sum = 0;
   for (const std::uint64_t p : got.shard_pairs) shard_sum += p;
   EXPECT_EQ(shard_sum, got.pair_count) << label;
-  for (std::size_t q = 0; q < expect.result.num_queries(); ++q) {
-    const auto a = expect.result.matches_of(q);
-    const auto b = got.result.matches_of(q);
-    ASSERT_EQ(b.size(), a.size()) << label << " query " << q;
-    for (std::size_t r = 0; r < a.size(); ++r) {
-      ASSERT_EQ(b[r].id, a[r].id) << label << " query " << q;
-      // Bit-identical pipeline distances, not approximately equal ones.
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(b[r].dist2),
-                std::bit_cast<std::uint32_t>(a[r].dist2))
-          << label << " query " << q;
-    }
-  }
+  test_support::expect_same_eps(expect, got, label);
 }
 
 TEST(ShardInvariance, EpsJoinBitIdenticalAcrossShardCounts) {
@@ -88,17 +81,16 @@ TEST(ShardInvariance, EpsJoinBitIdenticalAcrossShardCounts) {
                       900 + static_cast<std::uint64_t>(trial));
     const float eps = data::calibrate_epsilon(data, 24.0).eps;
 
-    JoinService reference(std::make_shared<CorpusSession>(MatrixF32(data)));
     EpsQuery request;
     request.points = MatrixF32(queries);
     request.eps = eps;
-    const auto expect = reference.eps_join(request);
+    const auto expect = reference_eps(data, queries, eps);
 
     for (const std::size_t shards : kShardCounts) {
       JoinService svc(bulk_corpus(data, shards));
       const auto got = svc.eps_join(request);
       expect_same_eps_results(expect, got,
-                              ("shards=" + std::to_string(shards)).c_str());
+                              "shards=" + std::to_string(shards));
     }
   }
 }
@@ -111,11 +103,10 @@ TEST(ShardInvariance, EpsJoinBitIdenticalAcrossAppendOrderings) {
   const auto queries = data::uniform(90, d, 132);
   const float eps = data::calibrate_epsilon(data, 24.0).eps;
 
-  JoinService reference(std::make_shared<CorpusSession>(MatrixF32(data)));
   EpsQuery request;
   request.points = MatrixF32(queries);
   request.eps = eps;
-  const auto expect = reference.eps_join(request);
+  const auto expect = reference_eps(data, queries, eps);
 
   for (int trial = 0; trial < 4; ++trial) {
     const std::size_t capacity = 64 + rng.next_below(200);
@@ -124,7 +115,7 @@ TEST(ShardInvariance, EpsJoinBitIdenticalAcrossAppendOrderings) {
     JoinService svc(corpus);
     const auto got = svc.eps_join(request);
     expect_same_eps_results(
-        expect, got, ("append capacity=" + std::to_string(capacity)).c_str());
+        expect, got, "append capacity=" + std::to_string(capacity));
   }
 }
 
@@ -135,13 +126,12 @@ TEST(ShardInvariance, KnnBitIdenticalAcrossShardCountsAndAppends) {
   const auto data = data::uniform(n, d, 141);
   const auto queries = data::uniform(60, d, 142);
 
-  JoinService reference(std::make_shared<CorpusSession>(MatrixF32(data)));
   KnnQuery request;
   request.points = MatrixF32(queries);
   request.k = 5;
-  const auto expect = reference.knn(request);
+  const auto expect = reference_knn(data, queries, request.k);
 
-  const auto check = [&](JoinService& svc, const char* label) {
+  const auto check = [&](JoinService& svc, const std::string& label) {
     const auto got = svc.knn(request);
     ASSERT_EQ(got.k, expect.k) << label;
     for (std::size_t q = 0; q < queries.rows(); ++q) {
@@ -156,7 +146,7 @@ TEST(ShardInvariance, KnnBitIdenticalAcrossShardCountsAndAppends) {
 
   for (const std::size_t shards : kShardCounts) {
     JoinService svc(bulk_corpus(data, shards));
-    check(svc, ("shards=" + std::to_string(shards)).c_str());
+    check(svc, "shards=" + std::to_string(shards));
   }
   for (int trial = 0; trial < 2; ++trial) {
     auto corpus = appended_corpus(data, 80 + rng.next_below(120),
@@ -168,8 +158,7 @@ TEST(ShardInvariance, KnnBitIdenticalAcrossShardCountsAndAppends) {
 
 TEST(ShardInvariance, KnnCorpusBitIdenticalAcrossShardCounts) {
   const auto data = data::uniform(300, 8, 151);
-  JoinService reference(std::make_shared<CorpusSession>(MatrixF32(data)));
-  const auto expect = reference.knn_corpus(4);
+  const auto expect = reference_knn(data, data, 4);
 
   for (const std::size_t shards : kShardCounts) {
     JoinService svc(bulk_corpus(data, shards));
@@ -185,7 +174,7 @@ TEST(ShardInvariance, KnnCorpusBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ShardInvariance, StreamingMergeMatchesBatchedCsrBothDeliveries) {
+TEST(ShardInvariance, StreamingMergeMatchesBatchedCsr) {
   const auto data = data::uniform(400, 12, 161);
   const auto queries = data::uniform(150, 12, 162);
   const float eps = data::calibrate_epsilon(data, 16.0).eps;
@@ -197,29 +186,25 @@ TEST(ShardInvariance, StreamingMergeMatchesBatchedCsrBothDeliveries) {
     request.eps = eps;
     const auto batched = svc.eps_join(request);
 
-    for (const StreamDelivery delivery :
-         {StreamDelivery::kRing, StreamDelivery::kMutex}) {
-      request.delivery = delivery;
-      std::vector<std::vector<QueryMatch>> rows(queries.rows());
-      std::vector<int> deliveries(queries.rows(), 0);
-      const auto out = svc.eps_join(
-          request, [&](std::size_t q, std::span<const QueryMatch> matches) {
-            rows[q].assign(matches.begin(), matches.end());
-            ++deliveries[q];
-          });
-      ASSERT_EQ(out.pair_count, batched.pair_count);
-      for (std::size_t q = 0; q < queries.rows(); ++q) {
-        ASSERT_EQ(deliveries[q], 1) << "shards=" << shards << " q " << q;
-        const auto expect = batched.result.matches_of(q);
-        ASSERT_EQ(rows[q].size(), expect.size())
+    std::vector<std::vector<QueryMatch>> rows(queries.rows());
+    std::vector<int> deliveries(queries.rows(), 0);
+    const auto out = svc.eps_join(
+        request, [&](std::size_t q, std::span<const QueryMatch> matches) {
+          rows[q].assign(matches.begin(), matches.end());
+          ++deliveries[q];
+        });
+    ASSERT_EQ(out.pair_count, batched.pair_count);
+    for (std::size_t q = 0; q < queries.rows(); ++q) {
+      ASSERT_EQ(deliveries[q], 1) << "shards=" << shards << " q " << q;
+      const auto expect = batched.result.matches_of(q);
+      ASSERT_EQ(rows[q].size(), expect.size())
+          << "shards=" << shards << " q " << q;
+      for (std::size_t r = 0; r < expect.size(); ++r) {
+        ASSERT_EQ(rows[q][r].id, expect[r].id)
             << "shards=" << shards << " q " << q;
-        for (std::size_t r = 0; r < expect.size(); ++r) {
-          ASSERT_EQ(rows[q][r].id, expect[r].id)
-              << "shards=" << shards << " q " << q;
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(rows[q][r].dist2),
-                    std::bit_cast<std::uint32_t>(expect[r].dist2))
-              << "shards=" << shards << " q " << q;
-        }
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(rows[q][r].dist2),
+                  std::bit_cast<std::uint32_t>(expect[r].dist2))
+            << "shards=" << shards << " q " << q;
       }
     }
   }

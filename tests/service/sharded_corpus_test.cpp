@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <cstring>
 #include <set>
 #include <string>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "core/sums.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
 
@@ -152,8 +154,8 @@ TEST(ShardedCorpus, CalibrationBlocksAreReusedAcrossAppends) {
   EXPECT_EQ(corpus.stats().calibration_blocks_built, k * k + 2 * k - 1);
   EXPECT_EQ(corpus.stats().calibration_misses, 2u);
 
-  // The calibrated radius lands near the requested selectivity (it is an
-  // estimate, like CorpusSession's) — verify against the exact count.
+  // The calibrated radius lands near the requested selectivity (it is a
+  // sampled estimate) — verify against the exact count.
   const MatrixF32 whole = row_slice(data, 0, 300);
   const double achieved = data::exact_selectivity(whole, eps2);
   EXPECT_GT(achieved, 32.0 * 0.5);
@@ -312,6 +314,85 @@ TEST(ShardedCorpus, ResidentPanelsMatchPackAfterAppendCompactMigrate) {
   corpus.migrate(0, 1);
   EXPECT_NE(&corpus.prepared(0), before);  // rebuilt on the new domain
   expect_shard_panels_match_pack(corpus, "migrate");
+}
+
+// The default corpus is one shard that pays the ingest cost up front: its
+// prepared norms are the RZ squared norms of the FP16 quantization, and the
+// prepared dataset is a stable object while the shard lives.
+TEST(ShardedCorpus, PreparedArtifactsMatchDirectComputation) {
+  const auto data = data::uniform(200, 16, 41);
+  ShardedCorpus corpus{MatrixF32(data)};
+  EXPECT_EQ(corpus.size(), 200u);
+  EXPECT_EQ(corpus.dims(), 16u);
+  ASSERT_EQ(corpus.shard_count(), 1u);
+
+  const auto norms = squared_norms_fp16_rz(to_fp16(data));
+  ASSERT_EQ(corpus.prepared(0).norms().size(), norms.size());
+  for (std::size_t i = 0; i < norms.size(); ++i) {
+    EXPECT_EQ(corpus.prepared(0).norms()[i], norms[i]) << i;
+  }
+  EXPECT_EQ(&corpus.prepared(0), &corpus.prepared(0));
+}
+
+TEST(ShardedCorpus, CalibrationIsCachedPerTarget) {
+  const auto data = data::uniform(300, 8, 43);
+  ShardedCorpus corpus{MatrixF32(data)};
+
+  const float eps1 = corpus.eps_for_selectivity(64.0);
+  const float eps2 = corpus.eps_for_selectivity(64.0);
+  EXPECT_EQ(eps1, eps2);
+  EXPECT_EQ(corpus.stats().calibration_misses, 1u);
+  EXPECT_EQ(corpus.stats().calibration_hits, 1u);
+
+  // A different target misses again and yields a larger radius.
+  const float eps3 = corpus.eps_for_selectivity(128.0);
+  EXPECT_GT(eps3, eps1);
+  EXPECT_EQ(corpus.stats().calibration_misses, 2u);
+}
+
+TEST(ShardedCorpus, ConcurrentCacheAccessIsSafe) {
+  const auto data = data::uniform(200, 8, 49);
+  ShardedCorpus corpus{MatrixF32(data)};
+  std::vector<std::thread> threads;
+  std::vector<float> eps(8);
+  std::vector<const index::GridIndex*> grids(8);
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      const auto i = static_cast<std::size_t>(t);
+      eps[i] = corpus.eps_for_selectivity(32.0);
+      grids[i] = &corpus.grid_at(0, 0.5f);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 1; t < 8; ++t) {
+    EXPECT_EQ(eps[t], eps[0]);
+    EXPECT_EQ(grids[t], grids[0]);  // racing builders keep the first grid
+  }
+  const auto stats = corpus.stats();
+  EXPECT_EQ(stats.calibration_hits + stats.calibration_misses, 8u);
+}
+
+// Boundary validation: corpus rows the FP16 pipeline cannot represent
+// (non-finite, or |x| > 65504) would lose every match silently, so the
+// constructor and append reject them before any shard changes.
+TEST(ShardedCorpus, RejectsRowsOutsideTheFp16Range) {
+  const auto data = data::uniform(40, 8, 81);
+  const float bad_values[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -70000.0f};
+  for (const float bad : bad_values) {
+    MatrixF32 rows(data);
+    rows.row(17)[3] = bad;
+    EXPECT_THROW(ShardedCorpus{MatrixF32(rows)}, CheckError) << bad;
+
+    ShardedCorpusOptions opts;
+    opts.shard_capacity = 16;
+    ShardedCorpus corpus{MatrixF32(data), opts};
+    const auto before = corpus.snapshot();
+    EXPECT_THROW(corpus.append(rows), CheckError) << bad;
+    EXPECT_EQ(corpus.snapshot(), before) << bad;  // nothing was published
+    EXPECT_EQ(corpus.size(), 40u);
+  }
 }
 
 TEST(ShardedCorpus, RejectsBadInputs) {

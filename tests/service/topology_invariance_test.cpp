@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,63 +18,19 @@
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
 #include "service/join_service.hpp"
+#include "support/serving.hpp"
 
 namespace fasted::service {
 namespace {
 
+using test_support::expect_same_eps;
+using test_support::reference_eps;
+using test_support::reference_knn;
+using test_support::ScopedSteal;
+using test_support::ScopedTopology;
+
 constexpr std::size_t kDomainCounts[] = {1, 2, 4};
 constexpr std::size_t kShardCounts[] = {1, 3};
-
-// Rebuilds the global pool with a synthetic D-domain topology on entry and
-// restores the environment-default pool on destruction, so the remaining
-// tests in this binary see the flat layout again.
-class ScopedTopology {
- public:
-  ScopedTopology(std::size_t domains, std::size_t threads = 4) {
-    const Topology topo = Topology::synthetic(domains);
-    ThreadPool::reset_global(threads, &topo);
-  }
-  ~ScopedTopology() { ThreadPool::reset_global(); }
-};
-
-// Scoped FASTED_STEAL pin (the executor reads it per join).
-class ScopedSteal {
- public:
-  explicit ScopedSteal(bool enabled) {
-    const char* saved = std::getenv("FASTED_STEAL");
-    saved_ = saved != nullptr ? saved : "";
-    had_ = saved != nullptr;
-    setenv("FASTED_STEAL", enabled ? "1" : "0", 1);
-  }
-  ~ScopedSteal() {
-    if (had_) {
-      setenv("FASTED_STEAL", saved_.c_str(), 1);
-    } else {
-      unsetenv("FASTED_STEAL");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
-
-void expect_same_eps(const QueryJoinOutput& expect, const QueryJoinOutput& got,
-                     const std::string& label) {
-  ASSERT_EQ(got.pair_count, expect.pair_count) << label;
-  ASSERT_EQ(got.result.num_queries(), expect.result.num_queries()) << label;
-  for (std::size_t q = 0; q < expect.result.num_queries(); ++q) {
-    const auto a = expect.result.matches_of(q);
-    const auto b = got.result.matches_of(q);
-    ASSERT_EQ(b.size(), a.size()) << label << " query " << q;
-    for (std::size_t r = 0; r < a.size(); ++r) {
-      ASSERT_EQ(b[r].id, a[r].id) << label << " query " << q;
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(b[r].dist2),
-                std::bit_cast<std::uint32_t>(a[r].dist2))
-          << label << " query " << q;
-    }
-  }
-}
 
 TEST(TopologyInvariance, EpsJoinBitIdenticalAcrossDomainCountsAndStealing) {
   const auto data = data::uniform(420, 16, 777);
@@ -90,8 +45,7 @@ TEST(TopologyInvariance, EpsJoinBitIdenticalAcrossDomainCountsAndStealing) {
   QueryJoinOutput expect;
   {
     ScopedTopology flat(1);
-    JoinService svc(std::make_shared<CorpusSession>(MatrixF32(data)));
-    expect = svc.eps_join(request);
+    expect = reference_eps(data, queries, eps);
   }
 
   for (const std::size_t domains : kDomainCounts) {
@@ -124,8 +78,7 @@ TEST(TopologyInvariance, KnnBitIdenticalAcrossDomainCounts) {
   KnnBatchResult expect;
   {
     ScopedTopology flat(1);
-    JoinService svc(std::make_shared<CorpusSession>(MatrixF32(data)));
-    expect = svc.knn(request);
+    expect = reference_knn(data, queries, request.k);
   }
 
   for (const std::size_t domains : kDomainCounts) {
@@ -222,7 +175,7 @@ TEST(TopologyInvariance, AppendDrivenGrowthKeepsPlacementAndResults) {
 // The lifecycle invariance matrix (delete/compact/rebalance across
 // topologies): for every domain count x shard count x steal mode, the
 // SURVIVING rows' eps and knn results are bit-identical whether the dead
-// rows are (a) absent from a fresh flat-pool session, (b) tombstone-masked,
+// rows are (a) absent from the flat-pool reference, (b) tombstone-masked,
 // or (c) physically dropped by compaction — and a rebalance() pass between
 // serves changes nothing but placement.
 TEST(TopologyInvariance, DeleteCompactRebalanceBitIdenticalAcrossTopologies) {
@@ -258,9 +211,8 @@ TEST(TopologyInvariance, DeleteCompactRebalanceBitIdenticalAcrossTopologies) {
   KnnBatchResult knn_expect;
   {
     ScopedTopology flat(1);
-    JoinService ref(std::make_shared<CorpusSession>(MatrixF32(removed)));
-    eps_expect = ref.eps_join(eps_request);
-    knn_expect = ref.knn(knn_request);
+    eps_expect = reference_eps(removed, queries, eps);
+    knn_expect = reference_knn(removed, queries, k);
   }
 
   const auto check_eps = [&](JoinService& svc, const std::uint32_t* remap,
@@ -342,8 +294,7 @@ TEST(TopologyInvariance, RestrictedCpusetDegradesGracefully) {
   QueryJoinOutput expect;
   {
     ScopedTopology flat(1);
-    JoinService svc(std::make_shared<CorpusSession>(MatrixF32(data)));
-    expect = svc.eps_join(request);
+    expect = reference_eps(data, queries, request.eps);
   }
 
   // A topology whose cpu ids cannot exist on any machine: every pin fails

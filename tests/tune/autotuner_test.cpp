@@ -12,23 +12,16 @@
 #include <numeric>
 
 #include "common/parallel.hpp"
-#include "common/topology.hpp"
 #include "core/fasted.hpp"
 #include "core/perf_model.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
+#include "support/scoped_pool.hpp"
 
 namespace fasted::tune {
 namespace {
 
-class ScopedTopology {
- public:
-  explicit ScopedTopology(std::size_t domains, std::size_t threads = 4) {
-    const Topology topo = Topology::synthetic(domains);
-    ThreadPool::reset_global(threads, &topo);
-  }
-  ~ScopedTopology() { ThreadPool::reset_global(); }
-};
+using test_support::ScopedTopology;
 
 TuneOptions small_options() {
   TuneOptions opts;

@@ -13,36 +13,27 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.hpp"
-#include "common/topology.hpp"
 #include "core/fasted.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
 #include "service/join_service.hpp"
+#include "support/serving.hpp"
 #include "tune/schedule_space.hpp"
 
 namespace fasted::tune {
 namespace {
 
-using service::CorpusSession;
 using service::EpsQuery;
 using service::JoinService;
 using service::KnnBatchResult;
 using service::KnnQuery;
 using service::ShardedCorpus;
 using service::ShardedCorpusOptions;
+using test_support::expect_same_eps;
+using test_support::ScopedTopology;
 
 constexpr std::size_t kShardCounts[] = {1, 3};
 constexpr std::size_t kDomainCounts[] = {1, 2};
-
-class ScopedTopology {
- public:
-  explicit ScopedTopology(std::size_t domains, std::size_t threads = 4) {
-    const Topology topo = Topology::synthetic(domains);
-    ThreadPool::reset_global(threads, &topo);
-  }
-  ~ScopedTopology() { ThreadPool::reset_global(); }
-};
 
 // A reduced — but still shape-diverse — space: square and rectangular
 // tiles, all three dispatch policies, two capacities, and (at domains > 1)
@@ -55,23 +46,6 @@ std::vector<Schedule> test_space(const FastedConfig& base, std::size_t rows,
   opts.capacity_fractions = {1.0, 0.5};
   opts.min_shard_capacity = 64;
   return ScheduleSpace::enumerate(base, rows, domains, opts);
-}
-
-void expect_same_eps(const QueryJoinOutput& expect, const QueryJoinOutput& got,
-                     const std::string& label) {
-  ASSERT_EQ(got.pair_count, expect.pair_count) << label;
-  ASSERT_EQ(got.result.num_queries(), expect.result.num_queries()) << label;
-  for (std::size_t q = 0; q < expect.result.num_queries(); ++q) {
-    const auto a = expect.result.matches_of(q);
-    const auto b = got.result.matches_of(q);
-    ASSERT_EQ(b.size(), a.size()) << label << " query " << q;
-    for (std::size_t r = 0; r < a.size(); ++r) {
-      ASSERT_EQ(b[r].id, a[r].id) << label << " query " << q;
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(b[r].dist2),
-                std::bit_cast<std::uint32_t>(a[r].dist2))
-          << label << " query " << q;
-    }
-  }
 }
 
 TEST(ScheduleProperty, EpsAndKnnBitIdenticalForEverySchedule) {
@@ -92,9 +66,8 @@ TEST(ScheduleProperty, EpsAndKnnBitIdenticalForEverySchedule) {
   KnnBatchResult knn_expect;
   {
     ScopedTopology flat(1);
-    JoinService ref(std::make_shared<CorpusSession>(MatrixF32(data)));
-    eps_expect = ref.eps_join(eps_request);
-    knn_expect = ref.knn(knn_request);
+    eps_expect = test_support::reference_eps(data, queries, eps);
+    knn_expect = test_support::reference_knn(data, queries, knn_request.k);
   }
 
   for (const std::size_t domains : kDomainCounts) {
