@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>

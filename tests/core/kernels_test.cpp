@@ -502,7 +502,7 @@ TEST(ResultSinks, StreamingSinkRejectsTileShardBeyondItsShardCount) {
   }
 }
 
-TEST(ResultSinks, StreamingSinkReassemblesShardsPerQuery) {
+TEST(ResultSinks, MergingStreamingSinkReassemblesShardsPerQuery) {
   const auto corpus_data = data::uniform(450, 12, 101);
   const auto query_data = data::uniform(130, 12, 102);
   const float eps = data::calibrate_epsilon(corpus_data, 16.0).eps;

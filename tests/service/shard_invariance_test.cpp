@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -174,7 +173,9 @@ TEST(ShardInvariance, KnnCorpusBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ShardInvariance, StreamingMergeMatchesBatchedCsr) {
+// Both deliveries of the one streaming sink: one shard hands each regrouped
+// strip straight to the ring, more shards go through the per-query merge.
+TEST(ShardInvariance, StreamingMergeMatchesBatchedCsrBothDeliveries) {
   const auto data = data::uniform(400, 12, 161);
   const auto queries = data::uniform(150, 12, 162);
   const float eps = data::calibrate_epsilon(data, 16.0).eps;

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -205,17 +204,15 @@ TEST(ShardedCorpus, CalibrationIsDeleteAwareWithoutBlockRebuilds) {
   EXPECT_LT(achieved, target * 2.0);
 }
 
-TEST(ShardedCorpus, GridCandidatesCoverTrueNeighborsAcrossShards) {
-  const auto corpus_data = data::uniform(400, 8, 75);
-  const auto queries = data::uniform(20, 8, 76);
-  ShardedCorpusOptions opts;
-  opts.shards = 3;
-  ShardedCorpus corpus{MatrixF32(corpus_data), opts};
-  const float eps = 0.4f;
-
+// Grid candidates of an external query must be a superset of its true
+// eps-neighbors in the corpus; `candidates(q, out)` fills global row ids.
+template <typename Candidates>
+void expect_candidates_cover_neighbors(const MatrixF32& corpus_data,
+                                       const MatrixF32& queries, float eps,
+                                       Candidates candidates) {
   for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
     std::vector<std::uint32_t> cand;
-    corpus.grid_candidates(queries.row(qi), eps, cand);
+    candidates(queries.row(qi), cand);
     const std::set<std::uint32_t> cset(cand.begin(), cand.end());
     for (std::size_t j = 0; j < corpus_data.rows(); ++j) {
       double acc = 0;
@@ -230,6 +227,18 @@ TEST(ShardedCorpus, GridCandidatesCoverTrueNeighborsAcrossShards) {
       }
     }
   }
+}
+
+TEST(ShardedCorpus, GridCandidatesCoverTrueNeighborsAcrossShards) {
+  const auto corpus_data = data::uniform(400, 8, 75);
+  ShardedCorpusOptions opts;
+  opts.shards = 3;
+  ShardedCorpus corpus{MatrixF32(corpus_data), opts};
+  expect_candidates_cover_neighbors(
+      corpus_data, data::uniform(20, 8, 76), 0.4f,
+      [&](const float* q, std::vector<std::uint32_t>& out) {
+        corpus.grid_candidates(q, 0.4f, out);
+      });
 }
 
 TEST(ShardedCorpus, ConcurrentReadersDuringAppendAreSafe) {
@@ -316,10 +325,11 @@ TEST(ShardedCorpus, ResidentPanelsMatchPackAfterAppendCompactMigrate) {
   expect_shard_panels_match_pack(corpus, "migrate");
 }
 
-// The default corpus is one shard that pays the ingest cost up front: its
+// The default corpus is one shard: a single resident corpus session that pays
+// the ingest cost up front and caches what every later query reuses. Its
 // prepared norms are the RZ squared norms of the FP16 quantization, and the
 // prepared dataset is a stable object while the shard lives.
-TEST(ShardedCorpus, PreparedArtifactsMatchDirectComputation) {
+TEST(CorpusSession, PreparedArtifactsMatchDirectComputation) {
   const auto data = data::uniform(200, 16, 41);
   ShardedCorpus corpus{MatrixF32(data)};
   EXPECT_EQ(corpus.size(), 200u);
@@ -334,7 +344,7 @@ TEST(ShardedCorpus, PreparedArtifactsMatchDirectComputation) {
   EXPECT_EQ(&corpus.prepared(0), &corpus.prepared(0));
 }
 
-TEST(ShardedCorpus, CalibrationIsCachedPerTarget) {
+TEST(CorpusSession, CalibrationIsCachedPerTarget) {
   const auto data = data::uniform(300, 8, 43);
   ShardedCorpus corpus{MatrixF32(data)};
 
@@ -350,7 +360,7 @@ TEST(ShardedCorpus, CalibrationIsCachedPerTarget) {
   EXPECT_EQ(corpus.stats().calibration_misses, 2u);
 }
 
-TEST(ShardedCorpus, ConcurrentCacheAccessIsSafe) {
+TEST(CorpusSession, ConcurrentCacheAccessIsSafe) {
   const auto data = data::uniform(200, 8, 49);
   ShardedCorpus corpus{MatrixF32(data)};
   std::vector<std::thread> threads;
@@ -370,6 +380,34 @@ TEST(ShardedCorpus, ConcurrentCacheAccessIsSafe) {
   }
   const auto stats = corpus.stats();
   EXPECT_EQ(stats.calibration_hits + stats.calibration_misses, 8u);
+}
+
+TEST(CorpusSession, GridIndexIsCachedPerEps) {
+  const auto data = data::uniform(250, 8, 45);
+  ShardedCorpus corpus{MatrixF32(data)};
+  ASSERT_EQ(corpus.shard_count(), 1u);
+
+  const auto& g1 = corpus.grid_at(0, 0.5f);
+  const auto& g2 = corpus.grid_at(0, 0.5f);
+  EXPECT_EQ(&g1, &g2);
+  const auto& g3 = corpus.grid_at(0, 0.25f);
+  EXPECT_NE(&g1, &g3);
+  EXPECT_EQ(&corpus.grid_at(0, 0.5f), &g1);  // a second eps evicts nothing
+}
+
+TEST(CorpusSession, GridServesExternalQueryPoints) {
+  const auto corpus_data = data::uniform(400, 8, 47);
+  ShardedCorpus corpus{MatrixF32(corpus_data)};
+  const auto& grid = corpus.grid_at(0, 0.4f);
+  expect_candidates_cover_neighbors(
+      corpus_data, data::uniform(20, 8, 48), 0.4f,
+      [&](const float* q, std::vector<std::uint32_t>& out) {
+        grid.candidates_of(q, out);
+      });
+}
+
+TEST(CorpusSession, RejectsEmptyCorpus) {
+  EXPECT_THROW(ShardedCorpus{MatrixF32(0, 4)}, CheckError);
 }
 
 // Boundary validation: corpus rows the FP16 pipeline cannot represent
