@@ -66,6 +66,15 @@ double now_s() {
       .count();
 }
 
+// The kernel an engine built from `cfg` runs on domain 0: its selection
+// resolved against the pool, FASTED_RZ_KERNEL pins included — the label a
+// row measured on that engine must carry.
+const char* resolved_kernel(const FastedConfig& cfg) {
+  return kernels::KernelContext::resolve(cfg.rz_kernel, ThreadPool::global())
+      .kernel(0)
+      .name;
+}
+
 struct Measurement {
   std::string kernel;
   double seconds = 0;
@@ -134,12 +143,13 @@ int run_large_tier(int argc, char** argv) {
   bench::header("Large-tier query-join throughput (autotuned vs default)",
                 "million-row resident corpus; schedule search via "
                 "perf-model pruning + measured probes (tune/)");
-  const kernels::RzDotKernel& simd = kernels::KernelRegistry::global().best();
+  const FastedConfig default_cfg;
+  const char* simd = resolved_kernel(default_cfg);
   ThreadPool& pool = ThreadPool::global();
   const std::size_t domains = pool.domain_count();
   std::printf("corpus %zu x %zu dims, query batch %zu, reps %zu, "
               "%zu domain%s, kernel %s\n\n",
-              n, d, batch, reps, domains, domains == 1 ? "" : "s", simd.name);
+              n, d, batch, reps, domains, domains == 1 ? "" : "s", simd);
 
   const double gen_start = now_s();
   const auto corpus_data = data::uniform(n, d, 42);
@@ -160,8 +170,8 @@ int run_large_tier(int argc, char** argv) {
   std::printf("%s", report.table().c_str());
   std::printf("chosen: %s\n\n", report.best.describe().c_str());
 
-  const FastedConfig default_cfg;
   const FastedConfig tuned_cfg = report.best.apply(default_cfg);
+  const char* tuned_kernel = resolved_kernel(tuned_cfg);
   const FastedEngine default_engine(default_cfg);
   const FastedEngine tuned_engine(tuned_cfg);
   JoinOptions count_only;
@@ -172,12 +182,12 @@ int run_large_tier(int argc, char** argv) {
   const PreparedDataset queries(query_data);
   const PreparedDataset corpus(corpus_data);
   const Measurement mono_default =
-      measure(simd.name, query_evals, reps, [&] {
+      measure(simd, query_evals, reps, [&] {
         return default_engine.query_join(queries, corpus, eps, count_only)
             .pair_count;
       });
   print_row("mono/default", mono_default);
-  const Measurement mono_tuned = measure(simd.name, query_evals, reps, [&] {
+  const Measurement mono_tuned = measure(tuned_kernel, query_evals, reps, [&] {
     return tuned_engine.query_join(queries, corpus, eps, count_only)
         .pair_count;
   });
@@ -196,7 +206,7 @@ int run_large_tier(int argc, char** argv) {
   Measurement sharded_default;
   {
     const PreparedShards set = prepare_shards(corpus_data, default_shards);
-    sharded_default = measure(simd.name, query_evals, reps, [&] {
+    sharded_default = measure(simd, query_evals, reps, [&] {
       return default_engine.query_join(queries, set.span(), eps, count_only)
           .pair_count;
     });
@@ -207,7 +217,7 @@ int run_large_tier(int argc, char** argv) {
   Measurement sharded_tuned;
   {
     const PreparedShards set = prepare_shards(corpus_data, tuned_shards);
-    sharded_tuned = measure(simd.name, query_evals, reps, [&] {
+    sharded_tuned = measure(tuned_kernel, query_evals, reps, [&] {
       return tuned_engine.query_join(queries, set.span(), eps, count_only)
           .pair_count;
     });
@@ -232,7 +242,7 @@ int run_large_tier(int argc, char** argv) {
                "\"query_batch\": %zu, \"reps\": %zu, \"eps\": %.6g, "
                "\"domains\": %zu, \"simd_kernel\": \"%s\"},\n",
                n, d, batch, reps, static_cast<double>(eps), domains,
-               simd.name);
+               simd);
   std::fprintf(f, "  \"large_query_join\": {\n");
   json_entry(f, "mono_default", mono_default);
   json_entry(f, "mono_tuned", mono_tuned);
@@ -271,10 +281,11 @@ int main(int argc, char** argv) {
                 "speedup on self-join and resident query-join");
 
   const kernels::KernelRegistry& registry = kernels::KernelRegistry::global();
-  const kernels::RzDotKernel& simd = registry.best();
+  FastedEngine engine;
+  const char* simd = resolved_kernel(engine.config());
   std::printf("corpus %zu x %zu dims, query batch %zu, reps %zu\n", n, d,
               batch, reps);
-  std::printf("best kernel: %s (supported:", simd.name);
+  std::printf("kernel: %s (supported:", simd);
   for (const kernels::RzDotKernel* k : registry.supported()) {
     std::printf(" %s", k->name);
   }
@@ -285,7 +296,6 @@ int main(int argc, char** argv) {
   const float eps = data::calibrate_epsilon(corpus_data, 64.0).eps;
   const PreparedDataset corpus(corpus_data);
   const PreparedDataset queries(query_data);
-  FastedEngine engine;
   JoinOptions count_only;
   count_only.build_result = false;
 
@@ -314,9 +324,9 @@ int main(int argc, char** argv) {
     return scalar_engine.query_join(queries, corpus, eps, count_only)
         .pair_count;
   });
-  const Measurement self_simd = measure(simd.name, self_evals, reps, run_self);
+  const Measurement self_simd = measure(simd, self_evals, reps, run_self);
   const Measurement query_simd =
-      measure(simd.name, query_evals, reps, run_query);
+      measure(simd, query_evals, reps, run_query);
 
   print_row("self_join", self_scalar);
   print_row("self_join", self_simd);
@@ -325,7 +335,7 @@ int main(int argc, char** argv) {
   const double self_speedup = self_scalar.seconds / self_simd.seconds;
   const double query_speedup = query_scalar.seconds / query_simd.seconds;
   std::printf("\nspeedup (%s over scalar): self-join %.2fx, query-join %.2fx\n",
-              simd.name, self_speedup, query_speedup);
+              simd, self_speedup, query_speedup);
 
   // Per-kernel sweep: every registry variant this host supports, pinned via
   // config, on the same self-join.  Variants the host cannot run (e.g.
@@ -369,13 +379,13 @@ int main(int argc, char** argv) {
     const std::span<const CorpusShardView> views = set.span();
     char label[32];
     std::snprintf(label, sizeof label, "self/s=%zu", shards);
-    const Measurement ms = measure(simd.name, self_evals, reps, [&] {
+    const Measurement ms = measure(simd, self_evals, reps, [&] {
       return engine.self_join(views, eps, count_only).pair_count;
     });
     print_row(label, ms);
     sharded_self.emplace_back(shards, ms);
     std::snprintf(label, sizeof label, "query/s=%zu", shards);
-    const Measurement mq = measure(simd.name, query_evals, reps, [&] {
+    const Measurement mq = measure(simd, query_evals, reps, [&] {
       return engine.query_join(queries, views, eps, count_only).pair_count;
     });
     print_row(label, mq);
@@ -400,13 +410,13 @@ int main(int argc, char** argv) {
     const std::span<const CorpusShardView> views = set.span();
     char label[32];
     std::snprintf(label, sizeof label, "self/d=%zu", ndom);
-    const Measurement ms = measure(simd.name, self_evals, reps, [&] {
+    const Measurement ms = measure(simd, self_evals, reps, [&] {
       return engine.self_join(views, eps, count_only).pair_count;
     });
     print_row(label, ms);
     domain_self.emplace_back(ndom, ms);
     std::snprintf(label, sizeof label, "query/d=%zu", ndom);
-    const Measurement mq = measure(simd.name, query_evals, reps, [&] {
+    const Measurement mq = measure(simd, query_evals, reps, [&] {
       return engine.query_join(queries, views, eps, count_only).pair_count;
     });
     print_row(label, mq);
@@ -436,7 +446,7 @@ int main(int argc, char** argv) {
     const kernels::TombstoneFilter filter(std::move(spans));
     JoinOptions tomb_only = count_only;
     tomb_only.tombstones = &filter;
-    tomb_query = measure(simd.name, query_evals, reps, [&] {
+    tomb_query = measure(simd, query_evals, reps, [&] {
       return engine.query_join(queries, set.span(), eps, tomb_only)
           .pair_count;
     });
@@ -476,7 +486,7 @@ int main(int argc, char** argv) {
     const double serve_evals = static_cast<double>(serve_clients) *
                                static_cast<double>(serve_rows) *
                                static_cast<double>(serve_n);
-    serve_seq = measure(simd.name, serve_evals, reps, [&] {
+    serve_seq = measure(simd, serve_evals, reps, [&] {
       std::uint64_t pairs = 0;
       for (std::size_t c = 0; c < serve_clients; ++c) {
         service::EpsQuery request;
@@ -492,7 +502,7 @@ int main(int argc, char** argv) {
     gopts.window_max_requests = serve_clients;
     gopts.window_wait = std::chrono::microseconds(20000);
     serve::BatchGateway gateway(svc, gopts);
-    serve_gw = measure(simd.name, serve_evals, reps, [&] {
+    serve_gw = measure(simd, serve_evals, reps, [&] {
       std::atomic<std::uint64_t> pairs{0};
       std::vector<std::thread> clients;
       clients.reserve(serve_clients);
@@ -530,7 +540,7 @@ int main(int argc, char** argv) {
                "  \"config\": {\"corpus_n\": %zu, \"dims\": %zu, "
                "\"query_batch\": %zu, \"eps\": %.6g, \"simd_kernel\": "
                "\"%s\"},\n",
-               n, d, batch, static_cast<double>(eps), simd.name);
+               n, d, batch, static_cast<double>(eps), simd);
   std::fprintf(f, "  \"self_join\": {\n");
   json_entry(f, "scalar", self_scalar);
   json_entry(f, "simd", self_simd);

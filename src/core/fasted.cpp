@@ -131,17 +131,104 @@ PreparedShards prepare_shards(const MatrixF32& data, std::size_t shards,
 }
 
 PreparedDataset::PreparedDataset(const MatrixF32& data)
-    : fp16_(to_fp16(data)),
-      dequant_(to_fp32(fp16_)),
-      norms_(squared_norms_fp16_rz(fp16_)) {
-  pack_panels();
+    : PreparedDataset(assemble(data.dims(), {}, &data, 0, data.rows())) {}
+
+PreparedDataset::PreparedDataset(std::span<const Rows> prepared,
+                                 const MatrixF32& fresh,
+                                 std::size_t fresh_begin,
+                                 std::size_t fresh_end)
+    : PreparedDataset(
+          assemble(fresh.dims(), prepared, &fresh, fresh_begin, fresh_end)) {}
+
+PreparedDataset PreparedDataset::gather(std::span<const Rows> runs) {
+  FASTED_CHECK_MSG(!runs.empty(), "gather needs at least one run");
+  return assemble(runs.front().src->dims(), runs, nullptr, 0, 0);
 }
 
-void PreparedDataset::pack_panels() {
+PreparedDataset PreparedDataset::gather(const PreparedDataset& src,
+                                        const std::vector<std::uint32_t>& rows) {
+  std::vector<Rows> runs;
+  runs.reserve(rows.size());
+  for (const std::uint32_t i : rows) {
+    runs.push_back(Rows{&src, i, std::size_t{i} + 1});
+  }
+  return assemble(src.dims(), runs, nullptr, 0, 0);
+}
+
+PreparedDataset PreparedDataset::assemble(std::size_t dims,
+                                          std::span<const Rows> runs,
+                                          const MatrixF32* fresh,
+                                          std::size_t fresh_begin,
+                                          std::size_t fresh_end) {
+  using kernels::kPanelWidth;
+  FASTED_CHECK_MSG(fresh_begin <= fresh_end &&
+                       (fresh == nullptr ? fresh_end == 0
+                                         : fresh_end <= fresh->rows()),
+                   "fresh row range out of bounds");
+  std::size_t rows = fresh_end - fresh_begin;
+  for (const Rows& r : runs) {
+    FASTED_CHECK_MSG(r.src != nullptr && r.src->dims() == dims &&
+                         r.begin <= r.end && r.end <= r.src->rows(),
+                     "prepared row run out of bounds");
+    rows += r.end - r.begin;
+  }
+  PreparedDataset out;
+  out.fp16_ = MatrixF16(rows, dims);
+  out.dequant_ = MatrixF32(rows, dims);
+  out.norms_.resize(rows);
+  out.panels_.resize((rows + kPanelWidth - 1) / kPanelWidth *
+                     out.panel_floats());
+
+  // Copied rows.  Whole panels copy as long as every run so far started on
+  // a panel boundary in both datasets; `packed` counts the rows they cover.
+  std::size_t at = 0;
+  std::size_t packed = 0;
+  for (std::size_t i = 0; i < runs.size();) {
+    // Runs that continue one another in the same source copy as one block.
+    Rows r = runs[i++];
+    while (i < runs.size() && runs[i].src == r.src && runs[i].begin == r.end) {
+      r.end = runs[i++].end;
+    }
+    const PreparedDataset& s = *r.src;
+    const std::size_t n = r.end - r.begin;
+    if (n == 0) continue;
+    std::copy_n(s.fp16_.row(r.begin), n * s.fp16_.stride(), out.fp16_.row(at));
+    std::copy_n(s.dequant_.row(r.begin), n * s.dequant_.stride(),
+                out.dequant_.row(at));
+    std::copy_n(s.norms_.begin() + static_cast<std::ptrdiff_t>(r.begin), n,
+                out.norms_.begin() + static_cast<std::ptrdiff_t>(at));
+    if (packed == at && r.begin % kPanelWidth == 0) {
+      const std::size_t whole = n / kPanelWidth;
+      std::copy_n(s.panels_.data() + r.begin / kPanelWidth * s.panel_floats(),
+                  whole * s.panel_floats(),
+                  out.panels_.data() + at / kPanelWidth * out.panel_floats());
+      packed += whole * kPanelWidth;
+    }
+    at += n;
+  }
+
+  // Fresh rows: FP16 quantization, exact decode, RZ norms.
+  if (fresh_end > fresh_begin) {
+    const std::size_t first = at;
+    for (std::size_t i = fresh_begin; i < fresh_end; ++i, ++at) {
+      const float* src = fresh->row(i);
+      Fp16* q = out.fp16_.row(at);
+      float* v = out.dequant_.row(at);
+      for (std::size_t k = 0; k < dims; ++k) {
+        q[k] = Fp16(src[k]);
+        v[k] = q[k].to_float();
+      }
+    }
+    squared_norms_fp16_rz(out.fp16_, first, rows, out.norms_.data() + first);
+  }
+  out.pack_panels(packed / kPanelWidth);
+  return out;
+}
+
+void PreparedDataset::pack_panels(std::size_t first) {
   using kernels::kPanelWidth;
   const std::size_t npanels = (rows() + kPanelWidth - 1) / kPanelWidth;
-  panels_.resize(npanels * panel_floats());
-  for (std::size_t p = 0; p < npanels; ++p) {
+  for (std::size_t p = first; p < npanels; ++p) {
     const std::size_t r0 = p * kPanelWidth;
     kernels::pack_panel(dequant_.row(r0), dequant_.stride(),
                         std::min(kPanelWidth, rows() - r0), dequant_.stride(),
@@ -152,23 +239,6 @@ void PreparedDataset::pack_panels() {
 float PreparedDataset::pair_dist2(std::size_t i, std::size_t j) const {
   return fasted_pair_dist2(dequant_.row(i), dequant_.row(j),
                            dequant_.stride(), norms_[i], norms_[j]);
-}
-
-PreparedDataset PreparedDataset::gather(const PreparedDataset& src,
-                                        const std::vector<std::uint32_t>& rows) {
-  PreparedDataset out;
-  out.fp16_ = MatrixF16(rows.size(), src.dims());
-  out.dequant_ = MatrixF32(rows.size(), src.dims());
-  out.norms_.resize(rows.size());
-  for (std::size_t a = 0; a < rows.size(); ++a) {
-    const std::size_t i = rows[a];
-    std::copy_n(src.fp16_.row(i), src.fp16_.stride(), out.fp16_.row(a));
-    std::copy_n(src.dequant_.row(i), src.dequant_.stride(),
-                out.dequant_.row(a));
-    out.norms_[a] = src.norms_[i];
-  }
-  out.pack_panels();
-  return out;
 }
 
 namespace {

@@ -92,10 +92,32 @@ using kernels::epilogue_dist2;
 // rounds, batched joins, point queries).
 class PreparedDataset {
  public:
+  // A run of already-prepared rows: rows [begin, end) of `src`.
+  struct Rows {
+    const PreparedDataset* src = nullptr;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+
   explicit PreparedDataset(const MatrixF32& data);
 
-  // Row-subset gather: copies already-prepared rows (FP16 data, decoded
-  // values, norms) without re-quantizing — the adaptive kNN rounds shrink
+  // Extension: the rows of `prepared`, in order, followed by rows
+  // [fresh_begin, fresh_end) of `fresh`.  Prepared rows are COPIED — FP16
+  // data, decoded values, norms, and whole panels while the runs keep
+  // panel alignment — and only the fresh rows are quantized; panels re-pack
+  // from the first one no run could copy (the old trailing partial panel
+  // of an extended dataset).  Every preparation step is per row, so the
+  // result equals PreparedDataset(concatenated points) bit for bit.
+  PreparedDataset(std::span<const Rows> prepared, const MatrixF32& fresh,
+                  std::size_t fresh_begin, std::size_t fresh_end);
+
+  // Multi-source gather: the rows of `runs` in order, copied as above with
+  // nothing quantized (corpus compaction re-chunks shards this way).
+  // Adjacent runs that continue one another copy as one block, so
+  // callers may pass one run per row.  `runs` must not be empty.
+  static PreparedDataset gather(std::span<const Rows> runs);
+
+  // Row-subset gather from one source — the adaptive kNN rounds shrink
   // their active batch this way.
   static PreparedDataset gather(const PreparedDataset& src,
                                 const std::vector<std::uint32_t>& rows);
@@ -123,8 +145,15 @@ class PreparedDataset {
   float pair_dist2(std::size_t i, std::size_t j) const;
 
  private:
-  PreparedDataset() = default;  // for gather()
-  void pack_panels();
+  PreparedDataset() = default;  // for assemble()
+  // The one construction path: copy `runs`, then quantize `fresh` rows
+  // [fresh_begin, fresh_end) (none when `fresh` is null).
+  static PreparedDataset assemble(std::size_t dims, std::span<const Rows> runs,
+                                  const MatrixF32* fresh,
+                                  std::size_t fresh_begin,
+                                  std::size_t fresh_end);
+  // Packs panels [first, npanels) from values().
+  void pack_panels(std::size_t first);
 
   MatrixF16 fp16_;
   MatrixF32 dequant_;

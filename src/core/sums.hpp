@@ -14,6 +14,12 @@ namespace fasted {
 // Squared norms of the FP16-quantized points, FP32 round-toward-zero.
 std::vector<float> squared_norms_fp16_rz(const MatrixF16& data);
 
+// Same for rows [begin, end) of `data`, written to out[0, end - begin).
+// Small batches run on the calling thread: waking the pool costs more than
+// the few rows an append or a query batch brings.
+void squared_norms_fp16_rz(const MatrixF16& data, std::size_t begin,
+                           std::size_t end, float* out);
+
 // FP32 round-to-nearest squared norms of the raw (unquantized) points.
 std::vector<float> squared_norms_fp32(const MatrixF32& data);
 

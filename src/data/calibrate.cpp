@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "common/check.hpp"
@@ -36,8 +37,11 @@ CalibrationResult calibrate_epsilon(const MatrixF32& data,
     std::swap(ids[i], ids[i + rng.next_below(n - i)]);
   }
 
-  // All distances sample -> dataset (excluding self).
-  std::vector<double> d2(m * (n - 1));
+  // All distances sample -> dataset (excluding self).  The buffer is left
+  // uninitialized: every element is written below, and the parallel fill
+  // is its first touch, instead of a zero-fill on the calling thread.
+  const std::size_t total = m * (n - 1);
+  const auto d2 = std::make_unique_for_overwrite<double[]>(total);
   parallel_for(0, m, [&](std::size_t b, std::size_t e) {
     for (std::size_t q = b; q < e; ++q) {
       const float* p = data.row(ids[q]);
@@ -53,16 +57,15 @@ CalibrationResult calibrate_epsilon(const MatrixF32& data,
   const double frac =
       std::min(1.0, target_selectivity / static_cast<double>(n - 1));
   const auto k = static_cast<std::size_t>(
-      std::min<double>(static_cast<double>(d2.size()) - 1,
-                       frac * static_cast<double>(d2.size())));
-  std::nth_element(d2.begin(), d2.begin() + static_cast<std::ptrdiff_t>(k),
-                   d2.end());
+      std::min<double>(static_cast<double>(total) - 1,
+                       frac * static_cast<double>(total)));
+  std::nth_element(d2.get(), d2.get() + k, d2.get() + total);
   const double eps = std::sqrt(d2[k]);
 
   // Achieved selectivity on the sample at that eps.
   std::size_t within = 0;
-  for (double v : d2) {
-    if (std::sqrt(v) <= eps) ++within;
+  for (std::size_t i = 0; i < total; ++i) {
+    if (std::sqrt(d2[i]) <= eps) ++within;
   }
   CalibrationResult r;
   r.eps = static_cast<float>(eps);

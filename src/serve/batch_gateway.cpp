@@ -104,7 +104,7 @@ BatchGateway::TicketPtr BatchGateway::try_submit(
 BatchGateway::TicketPtr BatchGateway::try_submit(
     service::KnnQuery request, std::chrono::nanoseconds deadline) {
   service_->validate(request);
-  FASTED_CHECK_MSG(request.k >= 1, "need k >= 1");
+  if (request.k < 1) service::reject_request("bad_k", "need k >= 1");
   auto ticket = std::make_shared<Ticket>();
   ticket->submitted_at_ = Clock::now();
   const std::chrono::nanoseconds limit =

@@ -154,8 +154,9 @@ class BatchGateway {
   // retries or sheds load; nothing ever queues beyond the ring.  A
   // non-zero `deadline` (measured from now) overrides
   // GatewayOptions::default_deadline.  Malformed requests (anything
-  // JoinService::validate rejects, or k < 1) throw CheckError at submit
-  // time, before touching the ring.
+  // JoinService::validate rejects, or k < 1: reason "bad_k") throw
+  // CheckError at submit time, before touching the ring, and are counted
+  // under requests.rejected.<reason>.
   TicketPtr try_submit(service::EpsQuery request,
                        std::chrono::nanoseconds deadline = {});
   TicketPtr try_submit(service::KnnQuery request,

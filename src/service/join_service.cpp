@@ -116,7 +116,9 @@ void JoinService::maybe_retune(std::size_t rows) {
 
 void JoinService::validate(const EpsQuery& request) const {
   check_rows(request.points, shards_->dims());
-  FASTED_CHECK_MSG(!std::isnan(request.eps), "search radius is NaN");
+  if (std::isnan(request.eps)) {
+    reject_request("nan_eps", "search radius is NaN");
+  }
 }
 
 void JoinService::validate(const KnnQuery& request) const {

@@ -22,8 +22,9 @@
 //
 // Every entry point validates its request before admission (validate()):
 // query rows must pass check_rows (finite, within the FP16 range, the
-// corpus's dims) and eps must not be NaN.  Bad input throws CheckError; it
-// is never answered at a reinterpreted radius or with overflowed rows.
+// corpus's dims) and eps must not be NaN.  Bad input throws CheckError and
+// is counted under requests.rejected.<reason>; it is never answered at a
+// reinterpreted radius or with overflowed rows.
 //
 // All numerics are the bit-exact tensor-core pipeline: an EpsQuery whose
 // batch equals the corpus reproduces self_join pair-for-pair.
@@ -217,8 +218,10 @@ class JoinService {
   void enable_regime_retune(bool on = true, double factor = 4.0);
 
   // Throws CheckError unless the request's rows pass check_rows against
-  // the corpus's dims (and, for EpsQuery, eps is not NaN).  Every entry
-  // point above runs it before admission; BatchGateway runs it at submit.
+  // the corpus's dims (and, for EpsQuery, eps is not NaN: reason
+  // "nan_eps").  Each rejection is counted under requests.rejected.<reason>
+  // (see reject_request).  Every entry point above runs it before
+  // admission; BatchGateway runs it at submit.
   void validate(const EpsQuery& request) const;
   void validate(const KnnQuery& request) const;
 

@@ -72,9 +72,16 @@ std::size_t slot_of(const ShardedCorpus::Snapshot& snap, std::uint32_t id) {
 
 }  // namespace
 
+void reject_request(const std::string& reason, const std::string& message) {
+  obs::Registry::global().counter("requests.rejected." + reason).add(1);
+  throw CheckError("request rejected (" + reason + "): " + message);
+}
+
 void check_rows(const MatrixF32& rows, std::size_t dims) {
-  FASTED_CHECK_MSG(rows.rows() > 0, "empty row batch");
-  FASTED_CHECK_MSG(rows.dims() == dims, "row/corpus dimensionality mismatch");
+  if (rows.rows() == 0) reject_request("empty_batch", "empty row batch");
+  if (rows.dims() != dims) {
+    reject_request("dims_mismatch", "row/corpus dimensionality mismatch");
+  }
   const float limit = Fp16::max_value();
   for (std::size_t r = 0; r < rows.rows(); ++r) {
     const float* row = rows.row(r);
@@ -83,17 +90,19 @@ void check_rows(const MatrixF32& rows, std::size_t dims) {
     for (std::size_t k = 0; k < dims; ++k) {
       in_range &= std::fabs(row[k]) <= limit;
     }
-    FASTED_CHECK_MSG(in_range,
+    if (!in_range) {
+      reject_request("out_of_range",
                      "row " + std::to_string(r) +
                          " has a non-finite coordinate or one beyond the "
                          "FP16 range (|x| > 65504)");
+    }
   }
 }
 
-ShardedCorpus::Shard::Shard(MatrixF32 pts, std::size_t base_row, bool seal,
+ShardedCorpus::Shard::Shard(ShardRows built, std::size_t base_row, bool seal,
                             std::uint64_t gen, std::size_t owning_domain)
-    : points(std::move(pts)),
-      prepared(points),
+    : points(std::move(built.points)),
+      prepared(std::move(built.prepared)),
       base(base_row),
       sealed(seal),
       generation(gen),
@@ -119,57 +128,60 @@ ShardedCorpus::ShardedCorpus(MatrixF32 corpus, ShardedCorpusOptions options)
   const std::size_t n = corpus.rows();
   for (std::size_t base = 0; base < n; base += cap) {
     const std::size_t rows = std::min(cap, n - base);
-    // The copy happens inside make_shard's build closure, on the shard's
-    // owning domain.
+    // The copy and the preparation happen inside make_shard's build
+    // closure, on the shard's owning domain.
     snap->push_back(ShardSlot{make_shard(
                                   [&] {
                                     MatrixF32 pts(rows, dims_);
                                     std::copy_n(corpus.row(base),
                                                 rows * corpus.stride(),
                                                 pts.row(0));
-                                    return pts;
+                                    PreparedDataset prep(pts);
+                                    return ShardRows{std::move(pts),
+                                                     std::move(prep)};
                                   },
                                   base, rows == cap),
                               nullptr, 0});
   }
   snapshot_ = std::move(snap);
+  stats_.rows_prepared = n;
 }
 
 std::shared_ptr<const ShardedCorpus::Shard> ShardedCorpus::build_shard(
-    const std::function<MatrixF32()>& build_points, std::size_t base,
+    const std::function<ShardRows()>& build_rows, std::size_t base,
     bool sealed, std::size_t domain,
     std::optional<std::uint64_t> generation) {
   const std::uint64_t gen = generation ? *generation : next_generation_++;
   ThreadPool& pool = ThreadPool::global();
   if (pool.domain_count() <= 1) {
-    return std::make_shared<const Shard>(build_points(), base, sealed, gen,
+    return std::make_shared<const Shard>(build_rows(), base, sealed, gen,
                                          domain);
   }
-  // Build the shard ON its owning domain: the row copy and every
+  // Build the shard ON its owning domain: the row copies and every
   // allocation and fill loop of the prepared panels run on a worker pinned
   // there, so the pages are first-touched — physically placed — where the
   // shard's joins will drain.  Nested parallel_fors inside the build
   // inline onto that worker: the build is one-worker-serial, a deliberate
   // trade — placement must follow the ALLOCATING thread (vector zero-fill
-  // is the first touch), and a rebuild is bounded by shard_capacity while
+  // is the first touch), and a build is bounded by shard_capacity while
   // the joins it accelerates are not.
   std::shared_ptr<const Shard> shard;
   pool.run_on_domain(domain, 0, 1, [&](std::size_t, std::size_t) {
-    shard = std::make_shared<const Shard>(build_points(), base, sealed, gen,
+    shard = std::make_shared<const Shard>(build_rows(), base, sealed, gen,
                                           domain);
   });
   return shard;
 }
 
 std::shared_ptr<const ShardedCorpus::Shard> ShardedCorpus::make_shard(
-    const std::function<MatrixF32()>& build_points, std::size_t base,
+    const std::function<ShardRows()>& build_rows, std::size_t base,
     bool sealed) {
   // Round-robin placement by shard ordinal (shards are capacity-sized and
-  // contiguous, so base / capacity IS the ordinal — append rebuilds of the
-  // open shard land back on the same domain).
+  // contiguous, so base / capacity IS the ordinal — append extensions of
+  // the open shard land back on the same domain).
   const std::size_t domain =
       (base / capacity_.load(std::memory_order_relaxed)) % domains_;
-  return build_shard(build_points, base, sealed, domain);
+  return build_shard(build_rows, base, sealed, domain);
 }
 
 void ShardedCorpus::publish(Snapshot next, bool invalidate_calibration) {
@@ -452,7 +464,7 @@ void ShardedCorpus::append(const MatrixF32& rows) {
   Snapshot next = *snapshot();
   std::size_t consumed = 0;
   std::uint64_t sealed_events = 0;
-  std::uint64_t rebuilds = 0;
+  std::uint64_t extensions = 0;
   while (consumed < rows.rows()) {
     ShardSlot& back = next.back();
     const bool extend = !back.shard->sealed;
@@ -462,11 +474,13 @@ void ShardedCorpus::append(const MatrixF32& rows) {
     const std::size_t take =
         std::min(cap - have, rows.rows() - consumed);
 
-    // Rebuild (or open) the newest shard with the extra rows.  Sealed
-    // shards are untouched: their Shard objects — and therefore their
-    // prepared data, grids, and calibration blocks — carry over by pointer.
-    // Both copies run inside the build closure, on the owning domain.
-    if (extend) ++rebuilds;
+    // Extend (or open) the newest shard with the extra rows: the open
+    // shard's prepared rows are copied, never re-quantized, and only the
+    // `take` new rows are prepared.  Sealed shards are untouched: their
+    // Shard objects — and therefore their prepared data, grids, and
+    // calibration blocks — carry over by pointer.  The copies run inside
+    // the build closure, on the owning domain.
+    if (extend) ++extensions;
     const bool seal = have + take == cap;
     if (seal) ++sealed_events;
     const auto build = [&] {
@@ -477,7 +491,10 @@ void ShardedCorpus::append(const MatrixF32& rows) {
       }
       std::copy_n(rows.row(consumed), take * rows.stride(),
                   pts.row(have));
-      return pts;
+      const PreparedDataset::Rows kept{&open.prepared, 0, have};
+      PreparedDataset prep(std::span(&kept, extend ? 1 : 0), rows, consumed,
+                           consumed + take);
+      return ShardRows{std::move(pts), std::move(prep)};
     };
     // Extension keeps the open shard's CURRENT domain (it may have been
     // migrated off its round-robin slot); fresh shards place by formula.
@@ -504,7 +521,8 @@ void ShardedCorpus::append(const MatrixF32& rows) {
   ++stats_.appends;
   stats_.rows_appended += rows.rows();
   stats_.shards_sealed += sealed_events;
-  stats_.open_rebuilds += rebuilds;
+  stats_.open_rebuilds += extensions;
+  stats_.rows_prepared += rows.rows();
 }
 
 std::size_t ShardedCorpus::erase(std::span<const std::uint32_t> ids) {
@@ -609,7 +627,8 @@ CompactReport ShardedCorpus::compact(const CompactOptions& options) {
   // shard — same base, same rows, nothing dropped, seal state agreeing
   // with its position — is carried over by pointer (mask and caches
   // included); every other chunk rebuilds on its round-robin domain
-  // through the same build path appends use.
+  // through the same build path appends use, gathering its prepared rows
+  // from the source shards (nothing is re-quantized).
   Snapshot next;
   next.reserve(div_up(survivors, cap));
   for (std::size_t c0 = 0; c0 < survivors; c0 += cap) {
@@ -628,13 +647,17 @@ CompactReport ShardedCorpus::compact(const CompactOptions& options) {
     auto shard = build_shard(
         [&] {
           MatrixF32 pts(c1 - c0, dims_);
+          std::vector<PreparedDataset::Rows> runs;
           for (std::size_t r = c0; r < c1; ++r) {
             const SrcRow& sr = stream[r];
-            const MatrixF32& pts_src = (*snap)[sr.slot].shard->points;
-            std::copy_n(pts_src.row(sr.local), pts_src.stride(),
-                        pts.row(r - c0));
+            const Shard& src_shard = *(*snap)[sr.slot].shard;
+            std::copy_n(src_shard.points.row(sr.local),
+                        src_shard.points.stride(), pts.row(r - c0));
+            runs.push_back(PreparedDataset::Rows{&src_shard.prepared,
+                                                 sr.local, sr.local + 1u});
           }
-          return pts;
+          PreparedDataset prep = PreparedDataset::gather(runs);
+          return ShardRows{std::move(pts), std::move(prep)};
         },
         c0, seal, domain);
     // Tombstones kept (below-threshold shards) re-slice into the chunk.
@@ -673,19 +696,15 @@ bool ShardedCorpus::migrate_in(Snapshot& next, std::size_t ordinal,
   const std::shared_ptr<const Shard> old = slot.shard;
   if (old->domain == target_domain) return false;
 
-  // The append rebuild path pointed at a different domain: rows, base,
+  // The shard build path pointed at a different domain: the rows and
+  // their preparation are copied there (nothing re-quantized), and base,
   // seal state, and GENERATION are preserved (same logical build, new
   // pages), so every calibration block keyed on this shard stays valid;
   // its own block cache is carried across.  Grids are dropped — they
   // rebuild lazily with their cell lists first-touched on the new domain.
   auto moved = build_shard(
-      [&] {
-        MatrixF32 pts(old->rows(), dims_);
-        std::copy_n(old->points.row(0), old->rows() * old->points.stride(),
-                    pts.row(0));
-        return pts;
-      },
-      old->base, old->sealed, target_domain, old->generation);
+      [&] { return ShardRows{old->points, old->prepared}; }, old->base,
+      old->sealed, target_domain, old->generation);
   {
     std::scoped_lock locks(old->cache_mutex, moved->cache_mutex);
     moved->calib_blocks = old->calib_blocks;

@@ -11,15 +11,17 @@
 // PreparedDataset (FP16 + RZ norms + panels), lazy grid indexes, and a
 // calibration sample — and makes the corpus mutable:
 //
-//   append(rows)  ingests into the newest shard.  Only that shard is
-//                 re-prepared; once a shard reaches `shard_capacity` rows it
-//                 SEALS (its artifacts are immutable from then on) and the
-//                 next append opens a fresh shard.  Sealed shards' grid and
-//                 calibration caches survive every append untouched.
+//   append(rows)  ingests into the newest shard.  Only the appended rows are
+//                 prepared: the open shard is replaced by a copy of its
+//                 already-prepared rows plus the new ones.  Once a shard
+//                 reaches `shard_capacity` rows it SEALS (its artifacts are
+//                 immutable from then on) and the next append opens a fresh
+//                 shard.  Sealed shards' grid and calibration caches survive
+//                 every append untouched.
 //
 // Readers never block on growth: the shard list is copy-on-write.  Each
 // query takes a snapshot (a shared_ptr'd vector of shared_ptr'd shards) and
-// serves from it; append builds a replacement open shard on the side and
+// serves from it; append builds the extended open shard on the side and
 // swaps the list pointer.  Sealed shard objects are shared between
 // snapshots, which is what makes cache survival a pointer identity, not a
 // recomputation.
@@ -33,8 +35,8 @@
 //
 // Shards are also the unit of PLACEMENT (common/topology.hpp): each shard
 // is assigned an execution domain round-robin by ordinal, its artifacts are
-// built — first-touched — on that domain's pinned workers (append rebuilds
-// included), and the engine's join executor routes the shard's drains to
+// built — first-touched — on that domain's pinned workers (append
+// extensions included), and the engine's join executor routes the shard's drains to
 // the same domain.  Placement never changes results; it only decides which
 // socket's memory controller serves which tiles.
 //
@@ -64,10 +66,11 @@
 //                 shard are reused by POINTER — their grids and calibration
 //                 blocks survive exactly like sealed shards across appends;
 //                 only touched chunks rebuild, through the same
-//                 build-on-owning-domain path appends use.
+//                 build-on-owning-domain path appends use, and they gather
+//                 their prepared rows from the source shards.
 //   rebalance()   domain migration as policy: diffs the pool's per-domain
-//                 drain/steal tile counters since the last pass and rebuilds
-//                 the heaviest-loaded domain's shards on the least-loaded
+//                 drain/steal tile counters since the last pass and copies
+//                 the heaviest-loaded domain's shards to the least-loaded
 //                 domain (migrate() is the policy-free building block).
 //                 Migration preserves the shard's generation and calibration
 //                 blocks — the rows are unchanged, only their pages move —
@@ -83,6 +86,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -115,7 +119,11 @@ struct ShardedStats {
   std::uint64_t appends = 0;
   std::uint64_t rows_appended = 0;
   std::uint64_t shards_sealed = 0;   // seal events during appends
-  std::uint64_t open_rebuilds = 0;   // open-shard re-preparations
+  std::uint64_t open_rebuilds = 0;   // open-shard extensions by append
+  // Rows quantized (FP16, norms) by shard builds: every seed row once, then
+  // exactly the appended rows — extensions, compaction and migration copy
+  // rows that are already prepared.
+  std::uint64_t rows_prepared = 0;
   std::uint64_t grids_built = 0;
   std::uint64_t calibration_hits = 0;    // target -> eps cache
   std::uint64_t calibration_misses = 0;
@@ -133,7 +141,8 @@ struct ShardedStats {
 // the current capacity), physically dropping the tombstoned rows of any
 // shard whose dead fraction is >= `dead_fraction`.  Shards the re-chunking
 // leaves byte-identical (same base, same rows, no drops) carry over by
-// pointer; everything else rebuilds on its owning domain.  Dropping rows
+// pointer; everything else rebuilds on its owning domain from the source
+// shards' prepared rows (copied, not re-quantized).  Dropping rows
 // RENUMBERS the survivors (global ids compact in order) — results over the
 // survivors stay bit-exact, only their ids shift.
 struct CompactOptions {
@@ -175,12 +184,18 @@ struct ShardInfo {
   std::size_t calibration_blocks = 0;  // cached sample-distance blocks
 };
 
+// Refuses a request at the boundary: counts it under the global registry
+// counter requests.rejected.<reason>, then throws CheckError(message).
+[[noreturn]] void reject_request(const std::string& reason,
+                                 const std::string& message);
+
 // Boundary validation for rows entering the FP16 pipeline: corpus rows at
 // construction and append, query rows at every JoinService and
-// BatchGateway entry point.  Throws CheckError unless `rows` is non-empty,
-// `dims` wide, and every coordinate is finite with |x| <=
-// Fp16::max_value() — anything else quantizes to inf/NaN, and the row's
-// matches would silently vanish inside a drain.
+// BatchGateway entry point.  Rejects (reject_request) unless `rows` is
+// non-empty ("empty_batch"), `dims` wide ("dims_mismatch"), and every
+// coordinate is finite with |x| <= Fp16::max_value() ("out_of_range") —
+// anything else quantizes to inf/NaN, and the row's matches would
+// silently vanish inside a drain.
 void check_rows(const MatrixF32& rows, std::size_t dims);
 
 class ShardedCorpus {
@@ -253,8 +268,9 @@ class ShardedCorpus {
   float eps_for_selectivity(double target);
 
   // Ingest rows at the end of the global row order (ids extend past the
-  // current size()).  Re-prepares only the open shard; seals it at
-  // capacity and opens fresh shards as needed.  Rows are validated with
+  // current size()).  Prepares only the new rows (the open shard's
+  // prepared rows are copied); seals it at capacity and opens fresh shards
+  // as needed.  Rows are validated with
   // check_rows before anything changes.  Safe to call concurrently
   // with readers; concurrent mutators (append/erase/compact/rebalance)
   // serialize.
@@ -275,8 +291,8 @@ class ShardedCorpus {
   // serving their pinned snapshots throughout.
   CompactReport compact(const CompactOptions& options = {});
 
-  // Rebuild shard `ordinal`'s artifacts on `target_domain` (the append
-  // rebuild path, pointed at a different domain).  Rows, generation,
+  // Copy shard `ordinal`'s rows and prepared data to `target_domain` (the
+  // shard build path, pointed at a different domain).  Rows, generation,
   // sample, and calibration blocks are preserved — placement never changes
   // results; grids rebuild lazily so their pages land on the new domain.
   void migrate(std::size_t ordinal, std::size_t target_domain);
@@ -289,20 +305,26 @@ class ShardedCorpus {
   std::vector<ShardInfo> shard_infos() const;
 
  private:
-  // `build_points` materializes the shard's FP32 rows; it runs ON the
-  // owning domain (multi-domain pools), so the rows are copied exactly once
-  // and first-touched in place.  `domain` overrides the round-robin
-  // placement formula (compaction chunks, migration targets); `generation`
-  // overrides the fresh id (migration keeps the old one so calibration
-  // blocks keyed on it stay valid).
+  // A shard's rows as a build closure materializes them.
+  struct ShardRows {
+    MatrixF32 points;
+    PreparedDataset prepared;
+  };
+
+  // `build_rows` materializes the shard's FP32 rows and their preparation;
+  // it runs ON the owning domain (multi-domain pools), so both are copied
+  // exactly once and first-touched in place.  `domain` overrides the
+  // round-robin placement formula (compaction chunks, migration targets);
+  // `generation` overrides the fresh id (migration keeps the old one so
+  // calibration blocks keyed on it stay valid).
   std::shared_ptr<const Shard> build_shard(
-      const std::function<MatrixF32()>& build_points, std::size_t base,
+      const std::function<ShardRows()>& build_rows, std::size_t base,
       bool sealed, std::size_t domain,
       std::optional<std::uint64_t> generation = std::nullopt);
   std::shared_ptr<const Shard> make_shard(
-      const std::function<MatrixF32()>& build_points, std::size_t base,
+      const std::function<ShardRows()>& build_rows, std::size_t base,
       bool sealed);
-  // Rebuild `next[ordinal]`'s shard on `target_domain` in place (see
+  // Copy `next[ordinal]`'s shard to `target_domain` in place (see
   // migrate()); false when it already lives there.  Caller holds
   // append_mutex_ and publishes `next`.
   bool migrate_in(Snapshot& next, std::size_t ordinal,
@@ -339,12 +361,13 @@ class ShardedCorpus {
 };
 
 // One shard: immutable data + artifacts, lazily grown caches.  Created
-// sealed or open; an "open" shard is replaced wholesale by append (the
-// object itself never mutates its data), a sealed shard is shared by every
-// later snapshot.
+// sealed or open; an "open" shard is replaced by an extended copy on append
+// (the object itself never mutates its data), a sealed shard is shared by
+// every later snapshot.
 class ShardedCorpus::Shard {
  public:
-  Shard(MatrixF32 pts, std::size_t base_row, bool seal, std::uint64_t gen,
+  // `built.prepared` must be the preparation of `built.points`.
+  Shard(ShardRows built, std::size_t base_row, bool seal, std::uint64_t gen,
         std::size_t owning_domain);
 
   const MatrixF32 points;          // original FP32 rows (grid + calibration)

@@ -1,6 +1,9 @@
 // Resident corpus panels and the one-row kernel shape:
 //  * PreparedDataset::panels() is exactly pack_panel over values(), with
 //    zero tail lanes, for any row count and after gather(),
+//  * a dataset extended with new rows, or gathered from several prepared
+//    sources, equals a fresh preparation of the same points on every
+//    buffer,
 //  * query_row_join over a prepared corpus (resident panels, one-row
 //    multi-panel entry) equals the packing MatrixF32 overload,
 //  * every tile shape that takes the executor's one-row path — a point
@@ -9,18 +12,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fasted.hpp"
 #include "core/kernels/kernel_context.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
+#include "support/prepared.hpp"
 
 namespace fasted {
 namespace {
@@ -65,6 +71,76 @@ TEST(ResidentPanels, PreparedPanelsEqualPackPanelWithZeroTails) {
   expect_panels_match_pack(g, "gather");
   const PreparedDataset none = PreparedDataset::gather(src, {});
   EXPECT_TRUE(none.panels().empty());
+}
+
+// The listed (matrix, row) rows stacked into one FP32 matrix: the points a
+// fresh preparation of copied rows starts from.
+MatrixF32 stack_rows(
+    const std::vector<std::pair<const MatrixF32*, std::size_t>>& rows) {
+  MatrixF32 out(rows.size(), rows.front().first->dims());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::copy_n(rows[i].first->row(rows[i].second), out.stride(), out.row(i));
+  }
+  return out;
+}
+
+// Extension copies the prepared rows and prepares only the new ones; the
+// result must equal preparing all the points at once, for prefixes that
+// end inside, on, and just past a panel boundary, and when it is extended
+// again (the append-after-append shape).
+TEST(ResidentPanels, ExtendedDatasetEqualsFreshPreparation) {
+  for (const std::size_t base : {1u, 7u, 8u, 9u, 2047u}) {
+    for (const std::size_t added : {1u, 7u, 8u, 16u}) {
+      const std::string label =
+          "base " + std::to_string(base) + " + " + std::to_string(added);
+      const MatrixF32 all = data::uniform(base + 2 * added, 19, base + added);
+      const PreparedDataset prefix(row_slice(all, 0, base));
+      const PreparedDataset::Rows kept{&prefix, 0, base};
+      const PreparedDataset once(std::span(&kept, 1), all, base,
+                                 base + added);
+      test_support::expect_prepared_equal(
+          once, PreparedDataset(row_slice(all, 0, base + added)), label);
+      expect_panels_match_pack(once, label);
+      if (HasFatalFailure()) return;
+
+      const PreparedDataset::Rows kept2{&once, 0, once.rows()};
+      const PreparedDataset twice(std::span(&kept2, 1), all, base + added,
+                                  all.rows());
+      test_support::expect_prepared_equal(twice, PreparedDataset(all),
+                                          label + " twice");
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// A multi-source gather mixes panel-aligned runs (whole panels copied),
+// misaligned ones (re-packed), an empty run, and both sources interleaved;
+// the one-source id gather must agree with a fresh preparation too.
+TEST(ResidentPanels, GatheredDatasetEqualsFreshPreparation) {
+  const MatrixF32 a = data::uniform(37, 19, 1);
+  const MatrixF32 b = data::uniform(50, 19, 2);
+  const PreparedDataset pa(a);
+  const PreparedDataset pb(b);
+  const std::vector<PreparedDataset::Rows> runs = {
+      {&pa, 0, 16}, {&pb, 8, 24}, {&pb, 5, 5},
+      {&pa, 20, 37}, {&pb, 0, 3}, {&pb, 40, 50}};
+  std::vector<std::pair<const MatrixF32*, std::size_t>> rows;
+  for (const PreparedDataset::Rows& r : runs) {
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      rows.emplace_back(r.src == &pa ? &a : &b, i);
+    }
+  }
+  test_support::expect_prepared_equal(PreparedDataset::gather(runs),
+                                      PreparedDataset(stack_rows(rows)),
+                                      "multi-source");
+
+  const std::vector<std::uint32_t> ids = {8, 9, 10, 11, 12, 13, 14, 15,
+                                          16, 3, 4, 36, 0};
+  rows.clear();
+  for (const std::uint32_t i : ids) rows.emplace_back(&a, i);
+  test_support::expect_prepared_equal(PreparedDataset::gather(pa, ids),
+                                      PreparedDataset(stack_rows(rows)),
+                                      "id gather");
 }
 
 TEST(ResidentPanels, QueryRowJoinOverPreparedMatchesPackingOverload) {

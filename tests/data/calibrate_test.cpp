@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/check.hpp"
 #include "data/generators.hpp"
 
@@ -63,6 +66,31 @@ TEST(ExactSelectivity, CountsNeighborsExcludingSelf) {
 TEST(Calibrate, DeterministicForSeed) {
   const auto m = uniform(500, 8, 19);
   EXPECT_EQ(calibrate_epsilon(m, 32, 7).eps, calibrate_epsilon(m, 32, 7).eps);
+}
+
+// The calibrated radius is pinned bit for bit: the sampling, the FP64
+// distances and the selected quantile must not drift when the distance
+// buffer's allocation or fill changes.  The constants are the radii the
+// value-initialized-buffer implementation returned.
+TEST(Calibrate, RadiusIsBitIdenticalToPinnedValues) {
+  struct Case {
+    const char* name;
+    MatrixF32 data;
+    double target;
+    std::uint32_t eps_bits;
+    double achieved;  // exactly representable sample selectivities
+  };
+  const Case cases[] = {
+      {"uniform S=8", uniform(3000, 24, 1234), 8.0, 0x3fa7b2f4u, 8.0},
+      {"uniform S=64", uniform(3000, 24, 1234), 64.0, 0x3fbf74dfu, 64.0},
+      {"sift_like S=8", sift_like(2048, 9), 8.0, 0x4481d3b9u, 8.0078125},
+      {"sift_like S=64", sift_like(2048, 9), 64.0, 0x44921b21u, 64.0078125},
+  };
+  for (const Case& c : cases) {
+    const auto cal = calibrate_epsilon(c.data, c.target, 77, 128);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(cal.eps), c.eps_bits) << c.name;
+    EXPECT_EQ(cal.achieved_selectivity, c.achieved) << c.name;
+  }
 }
 
 }  // namespace

@@ -406,5 +406,28 @@ TEST(GatewayCoalescing, ConcurrentClientsCoalesceAndMatch) {
   EXPECT_GT(stats.coalescing_factor, 1.0);
 }
 
+// A kNN request with k < 1 is refused at submit and counted as "bad_k";
+// a NaN radius at submit counts as "nan_eps".
+TEST(RequestRejections, BadKIsCounted) {
+  const auto data = data::uniform(60, 8, 1013);
+  auto svc = std::make_shared<JoinService>(test_support::one_shard(data));
+  GatewayOptions gopts;
+  gopts.start = false;
+  BatchGateway gateway(svc, gopts);
+  const MatrixF32 points = data::uniform(2, 8, 1014);
+
+  auto before = test_support::rejection_counts();
+  EXPECT_THROW(gateway.try_submit(KnnQuery{MatrixF32(points), 0}),
+               CheckError);
+  test_support::expect_rejections_since(before, "bad_k", 1);
+
+  before = test_support::rejection_counts();
+  EXPECT_THROW(gateway.try_submit(EpsQuery{
+                   MatrixF32(points), std::numeric_limits<float>::quiet_NaN()}),
+               CheckError);
+  test_support::expect_rejections_since(before, "nan_eps", 1);
+  EXPECT_EQ(gateway.stats().submitted, 0u);
+}
+
 }  // namespace
 }  // namespace fasted::serve

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -522,6 +523,53 @@ TEST(JoinService, RejectsQueryRowsOutsideTheFp16Range) {
   edge.points = with_value(queries, 0, 0, -65504.0f);
   edge.eps = 0.5f;
   EXPECT_NO_THROW(svc.eps_join(edge));
+}
+
+// Rejection counters: each boundary validation counts under its own
+// requests.rejected.<reason>, whichever entry point refused the rows.
+TEST(RequestRejections, EmptyBatchIsCounted) {
+  const auto before = test_support::rejection_counts();
+  EXPECT_THROW(ShardedCorpus{MatrixF32(0, 8)}, CheckError);
+  JoinService svc(one_shard(data::uniform(40, 8, 90)));
+  EXPECT_THROW(svc.sharded().append(MatrixF32(0, 8)), CheckError);
+  EXPECT_THROW(svc.eps_join(EpsQuery{MatrixF32(0, 8), 0.5f}), CheckError);
+  test_support::expect_rejections_since(before, "empty_batch", 3);
+}
+
+TEST(RequestRejections, DimsMismatchIsCounted) {
+  JoinService svc(one_shard(data::uniform(40, 8, 91)));
+  const auto before = test_support::rejection_counts();
+  EXPECT_THROW(svc.sharded().append(data::uniform(5, 4, 92)), CheckError);
+  EXPECT_THROW(svc.eps_join(EpsQuery{data::uniform(3, 4, 93), 0.5f}),
+               CheckError);
+  EXPECT_THROW(svc.knn(KnnQuery{data::uniform(3, 9, 94), 2}), CheckError);
+  test_support::expect_rejections_since(before, "dims_mismatch", 3);
+}
+
+TEST(RequestRejections, OutOfRangeIsCounted) {
+  JoinService svc(one_shard(data::uniform(40, 8, 95)));
+  const auto queries = data::uniform(4, 8, 96);
+  const auto before = test_support::rejection_counts();
+  for (const float bad : kBadCoordinates) {
+    EXPECT_THROW(svc.sharded().append(with_value(queries, 1, 2, bad)),
+                 CheckError);
+    EXPECT_THROW(svc.eps_join(EpsQuery{with_value(queries, 3, 7, bad), 0.5f}),
+                 CheckError);
+  }
+  test_support::expect_rejections_since(before, "out_of_range",
+                                        2 * std::size(kBadCoordinates));
+}
+
+TEST(RequestRejections, NanEpsIsCounted) {
+  JoinService svc(one_shard(data::uniform(40, 8, 97)));
+  EpsQuery request;
+  request.points = data::uniform(2, 8, 98);
+  request.eps = std::numeric_limits<float>::quiet_NaN();
+  const auto before = test_support::rejection_counts();
+  EXPECT_THROW(svc.eps_join(request), CheckError);
+  const EpsQuery window[] = {request};
+  EXPECT_THROW(svc.eps_join_coalesced(window), CheckError);
+  test_support::expect_rejections_since(before, "nan_eps", 2);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "core/sums.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
+#include "support/prepared.hpp"
 
 namespace fasted::service {
 namespace {
@@ -277,9 +278,12 @@ TEST(ShardedCorpus, ConcurrentReadersDuringAppendAreSafe) {
 }
 
 // Every shard's resident panels are pack_panel over its prepared values,
-// zero-tailed — whichever path built the shard.
-void expect_shard_panels_match_pack(const ShardedCorpus& corpus,
-                                    const std::string& label) {
+// zero-tailed, and every prepared buffer (FP16, values, norms, panels)
+// equals a fresh preparation of the shard's points — whichever path built
+// the shard, and although extensions, compaction and migration copy rows
+// that are already prepared.
+void expect_shards_match_fresh_preparation(const ShardedCorpus& corpus,
+                                           const std::string& label) {
   for (const auto& slot : *corpus.snapshot()) {
     const PreparedDataset& p = slot.shard->prepared;
     const MatrixF32& v = p.values();
@@ -296,6 +300,9 @@ void expect_shard_panels_match_pack(const ShardedCorpus& corpus,
           << label << " shard base " << slot.shard->base << " panel "
           << r0 / w;
     }
+    test_support::expect_prepared_equal(
+        p, PreparedDataset(slot.shard->points),
+        label + " shard base " + std::to_string(slot.shard->base));
   }
 }
 
@@ -305,10 +312,10 @@ TEST(ShardedCorpus, ResidentPanelsMatchPackAfterAppendCompactMigrate) {
   opts.shard_capacity = 100;
   opts.placement_domains = 2;
   ShardedCorpus corpus{MatrixF32(data), opts};
-  expect_shard_panels_match_pack(corpus, "bulk");
+  expect_shards_match_fresh_preparation(corpus, "bulk");
 
   corpus.append(data::uniform(33, 12, 80));  // open shard: 50 -> 83 rows
-  expect_shard_panels_match_pack(corpus, "append");
+  expect_shards_match_fresh_preparation(corpus, "append");
 
   const std::vector<std::uint32_t> dead = {1, 2, 3, 140, 141, 260};
   corpus.erase(dead);
@@ -317,12 +324,50 @@ TEST(ShardedCorpus, ResidentPanelsMatchPackAfterAppendCompactMigrate) {
   compact.dead_fraction = 0.0;
   corpus.compact(compact);
   EXPECT_EQ(corpus.size(), 283u - dead.size());
-  expect_shard_panels_match_pack(corpus, "compact");
+  expect_shards_match_fresh_preparation(corpus, "compact");
 
   const PreparedDataset* before = &corpus.prepared(0);
   corpus.migrate(0, 1);
   EXPECT_NE(&corpus.prepared(0), before);  // rebuilt on the new domain
-  expect_shard_panels_match_pack(corpus, "migrate");
+  expect_shards_match_fresh_preparation(corpus, "migrate");
+}
+
+// Shard builds quantize each row once: the seed rows at construction, then
+// exactly the appended rows.  Extending the open shard, compaction (with
+// and without drops) and migration copy prepared rows and add nothing.
+TEST(ShardedCorpus, RowsPreparedCountsOnlyNewRows) {
+  const auto data = data::uniform(250, 12, 83);
+  ShardedCorpusOptions opts;
+  opts.shard_capacity = 100;
+  opts.placement_domains = 2;
+  ShardedCorpus corpus{MatrixF32(data), opts};
+  EXPECT_EQ(corpus.stats().rows_prepared, 250u);
+
+  corpus.append(data::uniform(16, 12, 84));  // open shard: 50 -> 66 rows
+  EXPECT_EQ(corpus.stats().rows_prepared, 266u);
+  EXPECT_EQ(corpus.stats().open_rebuilds, 1u);
+  corpus.append(data::uniform(40, 12, 85));  // seals at 100, opens 6 rows
+  EXPECT_EQ(corpus.stats().rows_prepared, 306u);
+
+  CompactOptions rechunk;
+  rechunk.shard_capacity = 97;
+  const CompactReport moved = corpus.compact(rechunk);
+  EXPECT_GT(moved.shards_rebuilt, 0u);
+  EXPECT_EQ(moved.rows_dropped, 0u);
+  EXPECT_EQ(corpus.stats().rows_prepared, 306u);
+
+  const std::vector<std::uint32_t> dead = {0, 5, 96, 97, 200, 305};
+  corpus.erase(dead);
+  CompactOptions drop;
+  drop.dead_fraction = 0.0;
+  EXPECT_EQ(corpus.compact(drop).rows_dropped, dead.size());
+  EXPECT_EQ(corpus.stats().rows_prepared, 306u);
+
+  const PreparedDataset* before = &corpus.prepared(0);
+  corpus.migrate(0, 1);
+  EXPECT_NE(&corpus.prepared(0), before);
+  EXPECT_EQ(corpus.stats().rows_prepared, 306u);
+  expect_shards_match_fresh_preparation(corpus, "after lifecycle");
 }
 
 // The default corpus is one shard: a single resident corpus session that pays

@@ -18,6 +18,7 @@
 
 #include "common/matrix.hpp"
 #include "core/fasted.hpp"
+#include "obs/metrics.hpp"
 #include "service/join_service.hpp"
 #include "service/sharded_corpus.hpp"
 #include "support/scoped_pool.hpp"
@@ -41,6 +42,35 @@ inline void expect_same_eps(const QueryJoinOutput& expect,
                 std::bit_cast<std::uint32_t>(a[r].dist2))
           << label << " query " << q;
     }
+  }
+}
+
+// Every boundary-validation rejection reason (service::reject_request).
+inline const std::vector<std::string>& rejection_reasons() {
+  static const std::vector<std::string> reasons = {
+      "empty_batch", "dims_mismatch", "out_of_range", "nan_eps", "bad_k"};
+  return reasons;
+}
+
+// The global registry's requests.rejected.<reason> counters, one per reason.
+inline std::vector<std::uint64_t> rejection_counts() {
+  std::vector<std::uint64_t> counts;
+  for (const std::string& reason : rejection_reasons()) {
+    counts.push_back(
+        obs::Registry::global().counter("requests.rejected." + reason).value());
+  }
+  return counts;
+}
+
+// Since `before`, `reason` counted exactly `n` rejections and every other
+// reason none.
+inline void expect_rejections_since(const std::vector<std::uint64_t>& before,
+                                    const std::string& reason,
+                                    std::uint64_t n) {
+  const std::vector<std::uint64_t> after = rejection_counts();
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    const std::string& r = rejection_reasons()[i];
+    EXPECT_EQ(after[i] - before[i], r == reason ? n : 0u) << r;
   }
 }
 
