@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "baselines/gds_join.hpp"
-#include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "baselines/mistic_join.hpp"
 #include "baselines/ted_join.hpp"
@@ -46,7 +45,6 @@
 #include "serve/batch_gateway.hpp"
 #include "service/join_service.hpp"
 #include "service/sharded_corpus.hpp"
-#include "tune/autotuner.hpp"
 
 using namespace fasted;
 
@@ -70,14 +68,10 @@ struct Args {
   double delete_fraction = 0.0;   // > 0: tombstone this share of the corpus
   bool compact = false;           // compact mid-serve (drops tombstones)
   bool rebalance = false;         // run a drain/steal-driven rebalance pass
-  bool autotune = false;          // perf-model + probe schedule search
-  std::size_t probe_rows = 65536; // autotune probe sample size
   std::string kernel = "auto";    // rz_dot kernel selection (name or
                                   // comma list; "auto" = per-domain best)
   std::size_t gateway = 0;        // > 0: N concurrent clients through a
                                   // coalescing BatchGateway
-  std::string save_schedule;      // write the tuned schedule JSON here
-  std::string load_schedule;      // adopt a saved schedule, no re-probing
   std::string trace_path;         // write a Chrome trace-event JSON here
   std::string stats_json;         // write service + registry metrics here
 };
@@ -111,12 +105,6 @@ void usage() {
       "                   serve loop, physically dropping tombstoned rows\n"
       "  --rebalance      after serving, migrate shards off the domain the\n"
       "                   drain/steal counters show as overloaded\n"
-      "  --autotune       search tile shape / dispatch order / shard\n"
-      "                   capacity / steal policy: perf-model pruning, then\n"
-      "                   measured probes on a corpus sample; prints the\n"
-      "                   predicted-vs-measured table and runs the chosen\n"
-      "                   schedule (results are bit-identical to default)\n"
-      "  --probe-rows N   autotune probe sample size (default 65536)\n"
       "  --kernel NAME    rz_dot kernel selection: \"auto\" (default,\n"
       "                   per-domain best), a registry name (scalar, avx2,\n"
       "                   avx512) pinning every domain, or a comma list\n"
@@ -127,10 +115,6 @@ void usage() {
       "                   concurrent clients submitting through a coalescing\n"
       "                   BatchGateway (one shared drain per admission\n"
       "                   window; results bit-identical to sequential)\n"
-      "  --save-schedule F  write the autotuned schedule as JSON (needs\n"
-      "                   --autotune)\n"
-      "  --load-schedule F  adopt a schedule saved with --save-schedule,\n"
-      "                   skipping the search/probes entirely\n"
       "  --trace FILE     record per-worker spans and write a Chrome\n"
       "                   trace-event JSON (chrome://tracing / Perfetto);\n"
       "                   FASTED_TRACE=FILE does the same without the flag\n"
@@ -180,18 +164,10 @@ bool parse(int argc, char** argv, Args& args) {
       args.compact = true;
     } else if (flag == "--rebalance") {
       args.rebalance = true;
-    } else if (flag == "--autotune") {
-      args.autotune = true;
-    } else if (flag == "--probe-rows" && (v = next())) {
-      args.probe_rows = std::stoull(v);
     } else if (flag == "--kernel" && (v = next())) {
       args.kernel = v;
     } else if (flag == "--gateway" && (v = next())) {
       args.gateway = std::stoull(v);
-    } else if (flag == "--save-schedule" && (v = next())) {
-      args.save_schedule = v;
-    } else if (flag == "--load-schedule" && (v = next())) {
-      args.load_schedule = v;
     } else if (flag == "--trace" && (v = next())) {
       args.trace_path = v;
     } else if (flag == "--stats-json" && (v = next())) {
@@ -348,8 +324,7 @@ bool write_stats_json(const std::string& path,
   return true;
 }
 
-int run_service_mode(const Args& args, const MatrixF32& points, float eps,
-                     const tune::Schedule* schedule) {
+int run_service_mode(const Args& args, const MatrixF32& points, float eps) {
   using Clock = std::chrono::steady_clock;
   if (!args.save_result.empty()) {
     std::fprintf(stderr,
@@ -406,15 +381,6 @@ int run_service_mode(const Args& args, const MatrixF32& points, float eps,
       std::chrono::duration<double>(Clock::now() - ingest_start).count();
   std::printf("ingest: FP16 + norms prepared for %zu/%zu rows in %.3f s\n",
               initial, n, ingest_s);
-
-  if (schedule != nullptr) {
-    // Adopt the tuned (or loaded) schedule through the service's own swap
-    // path; the corpus is re-chunked to the tuned capacity
-    // (results are bit-identical either way — only throughput changes).
-    svc->set_schedule(*schedule, /*rechunk_shards=*/true);
-    std::printf("serving with tuned schedule: %s\n",
-                svc->schedule().describe().c_str());
-  }
 
   // Sustained-mutation traffic: tombstone a deterministic stride of the
   // initially resident rows, so the serve loop runs with delete masks
@@ -660,110 +626,18 @@ int main(int argc, char** argv) {
                 args.selectivity);
   }
 
-  // Schedule search before any serving or joining: model-pruned, then
-  // probe-refined on a sample of the actual corpus (tune/autotuner.hpp).
-  // A schedule can come from this search (--autotune) or a file saved by a
-  // previous run (--load-schedule, no re-probing); either way it flows to
-  // service and self-join modes identically.
-  std::optional<tune::Schedule> schedule;
-  if (args.autotune) {
-    ThreadPool& pool = ThreadPool::global();
-    const std::size_t domains =
-        args.domains > 0 ? args.domains : pool.domain_count();
-    tune::TuneOptions topts;
-    topts.probe_rows = args.probe_rows;
-    tune::AutoTuner tuner(FastedConfig::paper_defaults(), topts);
-    const auto tune_start = std::chrono::steady_clock::now();
-    const auto tuned = tuner.tune(points, points.rows(), domains, eps);
-    const double tune_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - tune_start)
-                              .count();
-    std::printf("autotune: %zu schedules, %zu model-scored combos, %zu "
-                "probes in %.2f s\n",
-                tuned.space_size, tuned.model_scored, tuned.probes, tune_s);
-    std::printf("%s", tuned.table().c_str());
-    const double speedup =
-        tuned.default_pairs_per_s > 0
-            ? tuned.best_pairs_per_s / tuned.default_pairs_per_s
-            : 1.0;
-    std::printf("chosen schedule: %s (measured %.2fx vs default)\n",
-                tuned.best.describe().c_str(), speedup);
-    schedule = tuned.best;
-    if (!args.save_schedule.empty()) {
-      std::FILE* f = std::fopen(args.save_schedule.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", args.save_schedule.c_str());
-        return 1;
-      }
-      const std::string text = tuned.best.json() + "\n";
-      std::fputs(text.c_str(), f);
-      std::fclose(f);
-      std::printf("schedule saved to %s\n", args.save_schedule.c_str());
-    }
-  } else if (!args.save_schedule.empty()) {
-    std::fprintf(stderr,
-                 "warning: --save-schedule needs --autotune; nothing saved\n");
-  }
-  if (!args.load_schedule.empty()) {
-    if (args.autotune) {
-      std::fprintf(stderr,
-                   "warning: --load-schedule ignored, --autotune searched a "
-                   "fresh schedule\n");
-    } else {
-      std::FILE* f = std::fopen(args.load_schedule.c_str(), "r");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot read %s\n", args.load_schedule.c_str());
-        return 1;
-      }
-      std::string text;
-      char buf[4096];
-      std::size_t got;
-      while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-        text.append(buf, got);
-      }
-      std::fclose(f);
-      try {
-        tune::Schedule loaded = tune::Schedule::from_json(text);
-        if (!loaded.valid(FastedConfig::paper_defaults())) {
-          std::fprintf(stderr, "loaded schedule is invalid: %s\n",
-                       loaded.describe().c_str());
-          return 1;
-        }
-        schedule = loaded;
-      } catch (const CheckError& e) {
-        std::fprintf(stderr, "cannot parse %s: %s\n",
-                     args.load_schedule.c_str(), e.what());
-        return 1;
-      }
-      std::printf("loaded schedule: %s\n", schedule->describe().c_str());
-    }
-  }
-
-  // A schedule that never chose a kernel ("auto" — saved before the kernel
-  // dimension existed, or tuned over the default space) defers to the
-  // explicit --kernel flag; a schedule that DID pin one keeps its choice.
-  if (schedule && args.kernel != "auto" && schedule->kernel == "auto") {
-    schedule->kernel = args.kernel;
-  }
-
   if (args.gateway > 0 && args.queries == 0) {
     std::fprintf(stderr,
                  "warning: --gateway needs service mode (--queries N); "
                  "ignoring\n");
   }
   if (args.queries > 0) {
-    return run_service_mode(args, points, eps,
-                            schedule ? &*schedule : nullptr);
+    return run_service_mode(args, points, eps);
   }
 
   const bool all = args.algo == "all";
   if (all || args.algo == "fasted") {
-    FastedEngine engine(schedule ? schedule->apply(base_config(args))
-                                 : base_config(args));
-    if (schedule) {
-      std::printf("self-join on tuned schedule: %s\n",
-                  engine.config().describe().c_str());
-    }
+    FastedEngine engine(base_config(args));
     // --shards N runs the sharded plan composition (per-shard triangular +
     // shard-pair rectangular tiles); results are bit-identical to the
     // monolithic self-join.

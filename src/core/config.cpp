@@ -33,12 +33,7 @@ void FastedConfig::validate() const {
 
 std::string FastedConfig::describe() const {
   std::ostringstream os;
-  const char* policy = "row-major";
-  switch (dispatch_policy()) {
-    case sim::DispatchPolicy::kSquares: policy = "squares"; break;
-    case sim::DispatchPolicy::kRowMajor: policy = "row-major"; break;
-    case sim::DispatchPolicy::kColumnMajor: policy = "column-major"; break;
-  }
+  const char* policy = opt_block_tile_ordering ? "squares" : "row-major";
   os << "FaSTED config: block " << block_tile_m << "x" << block_tile_n << "x"
      << block_tile_k << ", warp " << effective_warp_tile_m() << "x"
      << effective_warp_tile_n() << "x" << warp_tile_k << ", "
@@ -46,9 +41,6 @@ std::string FastedConfig::describe() const {
      << effective_pipeline_stages() << ", residency " << residency()
      << ", dispatch " << policy << " ("
      << dispatch_square << "x" << dispatch_square << ")";
-  if (steal_mode != StealMode::kEnv) {
-    os << ", steal " << (steal_mode == StealMode::kOn ? "on" : "off");
-  }
   if (!rz_kernel.empty() && rz_kernel != "auto") {
     os << ", kernel " << rz_kernel;
   }

@@ -5,18 +5,12 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 
 #include "sim/device_spec.hpp"
 #include "sim/l2_model.hpp"
 
 namespace fasted {
-
-// Cross-domain work-stealing policy of the join executor.  kEnv is the
-// PR 4 behavior (FASTED_STEAL decides, default on); tuned schedules pin
-// kOn/kOff explicitly so a chosen policy survives any environment.
-enum class StealMode { kEnv, kOn, kOff };
 
 struct FastedConfig {
   // --- Table 2: optimized parameters ---
@@ -44,14 +38,6 @@ struct FastedConfig {
 
   sim::DeviceSpec device = sim::DeviceSpec::a100_pcie();
 
-  // --- Schedule knobs (src/tune/) ---
-  // Explicit dispatch-policy override; unset keeps the 3.3.1 toggle's
-  // squares-vs-row-major choice.  Tuned schedules set this (it is the only
-  // way to express kColumnMajor).
-  std::optional<sim::DispatchPolicy> dispatch_override;
-  // Join-executor work stealing (see StealMode above).  Purely an execution
-  // policy: results are bit-identical under any value.
-  StealMode steal_mode = StealMode::kEnv;
   // rz_dot kernel selection (core/kernels/kernel_context.hpp): "auto"
   // resolves each execution domain to the widest variant its own pinned
   // workers support; a name ("scalar", "avx2", "avx512") pins every
@@ -63,7 +49,6 @@ struct FastedConfig {
 
   // Derived values.
   sim::DispatchPolicy dispatch_policy() const {
-    if (dispatch_override) return *dispatch_override;
     return opt_block_tile_ordering ? sim::DispatchPolicy::kSquares
                                    : sim::DispatchPolicy::kRowMajor;
   }

@@ -23,13 +23,11 @@ namespace {
 // second copy of the whole result set.
 constexpr std::size_t kFlushThreshold = 1 << 16;
 
-// Cross-domain stealing: a tuned schedule pins it on or off via the config
-// (StealMode::kOn/kOff); otherwise FASTED_STEAL decides (on unless it says
-// 0/off/false) — the topology property tests exercise both modes, and
-// operators can demand strict placement when profiling per-domain bandwidth.
-bool steal_enabled(StealMode mode) {
-  if (mode == StealMode::kOn) return true;
-  if (mode == StealMode::kOff) return false;
+// Cross-domain stealing: FASTED_STEAL decides (on unless it says
+// 0/off/false), read once per join so the topology property tests can flip
+// it between joins, and operators can demand strict placement when
+// profiling per-domain bandwidth.
+bool steal_enabled() {
   const char* env = std::getenv("FASTED_STEAL");
   if (env == nullptr) return true;
   return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
@@ -68,7 +66,7 @@ std::uint64_t execute_join(const FastedConfig& cfg,
   // the drain as flat so no partition is orphaned when stealing is off.
   const std::size_t ndom =
       ThreadPool::dispatch_confined() ? 1 : pool.domain_count();
-  const bool steal = ndom > 1 && steal_enabled(cfg.steal_mode);
+  const bool steal = ndom > 1 && steal_enabled();
 
   // Route each entry to the domain owning its corpus-side shard.  On the
   // flat single-domain pool everything lands in one list and the loop below

@@ -65,7 +65,12 @@ void BatchGateway::start() {
 }
 
 void BatchGateway::stop() {
-  const bool already = stop_.exchange(true, std::memory_order_acq_rel);
+  const bool already = stop_.exchange(true);
+  // A submit that read stop_ as false before the exchange may not have
+  // pushed yet; wait until it has, so its ticket is in the ring before the
+  // last drain below.  (seq_cst on both sides: either that submit sees
+  // stop_, or this load sees its count.)
+  while (submits_in_flight_.load() != 0) std::this_thread::yield();
   wake_cv_.notify_all();
   if (dispatcher_.joinable()) {
     dispatcher_.join();
@@ -74,11 +79,25 @@ void BatchGateway::stop() {
     // answer — drain them inline (the loop sees stop_ and exits when empty).
     dispatcher_loop();
   }
+  // The dispatcher may have exited on an empty ring just before such a
+  // late push landed; nobody will serve that ticket, so fail it rather than
+  // leave its client waiting forever.
+  TicketPtr late;
+  while (ring_.try_pop(late)) {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    Response response;
+    response.state = RequestState::kFailed;
+    response.error = "gateway stopped";
+    complete(late, std::move(response));
+  }
 }
 
 BatchGateway::TicketPtr BatchGateway::submit(TicketPtr ticket) {
   TicketPtr in_ring = ticket;
-  if (stop_.load(std::memory_order_acquire) || !ring_.try_push(in_ring)) {
+  submits_in_flight_.fetch_add(1);
+  const bool accepted = !stop_.load() && ring_.try_push(in_ring);
+  submits_in_flight_.fetch_sub(1);
+  if (!accepted) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }

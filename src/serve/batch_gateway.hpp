@@ -166,7 +166,9 @@ class BatchGateway {
   // GatewayOptions::start).
   void start();
   // Drain the ring (remaining requests are dispatched in windows as usual)
-  // and join the dispatcher.  Idempotent; the destructor calls it.
+  // and join the dispatcher.  A ticket accepted while stop() runs is either
+  // served or completed as kFailed ("gateway stopped"); none is left
+  // pending.  Idempotent; the destructor calls it.
   void stop();
 
   GatewayStats stats() const;
@@ -196,6 +198,9 @@ class BatchGateway {
   std::condition_variable wake_cv_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
+  // submit() calls between their stop_ check and their push; stop() waits
+  // for zero before its last drain.
+  std::atomic<std::uint64_t> submits_in_flight_{0};
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> rejected_{0};

@@ -42,7 +42,6 @@
 #include "core/fasted.hpp"
 #include "obs/histogram.hpp"
 #include "service/sharded_corpus.hpp"
-#include "tune/schedule.hpp"
 
 namespace fasted::service {
 
@@ -107,9 +106,6 @@ struct ServiceStats {
   std::uint64_t pairs = 0;                  // surviving matches emitted
   std::uint64_t pairs_tombstoned = 0;       // matches dropped by delete masks
   std::uint64_t knn_brute_force_queries = 0;  // straggler sweeps
-  // Automatic schedule re-tunes triggered by corpus-size regime changes
-  // (see JoinService::enable_regime_retune).
-  std::uint64_t schedule_retunes = 0;
   // Coalesced serving (eps_join_coalesced / the batch gateway): windows
   // drained and the requests they carried.  coalesced_requests /
   // coalesced_windows is the service-side coalescing factor; each coalesced
@@ -126,7 +122,7 @@ struct ServiceStats {
   // shards — exactly the signal ShardedCorpus::rebalance() acts on.
   std::vector<DomainLoad> domain_loads;
   // Resolved rz_dot kernel name per execution domain (same indexing as
-  // domain_loads): the engine's current kernel selection resolved against
+  // domain_loads): the engine's kernel selection resolved against
   // the pool's per-domain CPU features at stats() time.  Reflects what a
   // join issued NOW would run — FASTED_RZ_KERNEL pins show up here too.
   std::vector<std::string> domain_kernels;
@@ -195,28 +191,6 @@ class JoinService {
   // own: a dead row's self-match is filtered like any other dead match.
   KnnBatchResult knn_corpus(std::size_t k, const KnnOptions& options = {});
 
-  // --- Schedule control (src/tune/) ---
-  // Swaps the serving engine onto `schedule` (tune/schedule.hpp).  A
-  // schedule is pure execution policy, so results before and after are
-  // bit-identical; only throughput and latency change.  Waits for the
-  // serve slot: in-flight requests finish on the old schedule, later ones
-  // run the new one.  With `rechunk_shards`, the corpus is also
-  // compacted to the schedule's shard capacity (tombstones are left in
-  // place — ids never shift under a re-tune).
-  void set_schedule(const tune::Schedule& schedule,
-                    bool rechunk_shards = false);
-  // The schedule currently serving (the engine-config defaults until
-  // set_schedule or a regime retune replaces them).
-  tune::Schedule schedule() const;
-
-  // When enabled, each request checks whether the corpus row count has
-  // drifted by more than `factor`x (either direction) since the schedule
-  // was last chosen; if so the service re-ranks the schedule space with
-  // the perf model ALONE (AutoTuner::predict — no probe joins, cheap
-  // enough to run inline) and swaps to the winner.  Measured tuning stays
-  // an explicit operator action (the CLI's --autotune).
-  void enable_regime_retune(bool on = true, double factor = 4.0);
-
   // Throws CheckError unless the request's rows pass check_rows against
   // the corpus's dims (and, for EpsQuery, eps is not NaN: reason
   // "nan_eps").  Each rejection is counted under requests.rejected.<reason>
@@ -259,17 +233,10 @@ class JoinService {
   // the admission_wait histogram (and as an "admit" trace span).
   std::unique_lock<std::mutex> admit();
 
-  // Regime check + model-only retune (see enable_regime_retune).  Caller
-  // holds the serve slot; `rows` is the request's pinned corpus size.
-  void maybe_retune(std::size_t rows);
-
   std::shared_ptr<ShardedCorpus> shards_;
-  FastedEngine engine_;
-  // The engine config as constructed, BEFORE any schedule was applied —
-  // every set_schedule/retune applies to this pristine base so successive
-  // schedules never compound (a residency shrink from one schedule must
-  // not leak into the next).
-  FastedConfig base_config_;
+  // Fixed at construction: every request runs the same execution policy,
+  // so reading its config needs no lock.
+  const FastedEngine engine_;
 
   // Serve-phase latency histograms, owned PER SERVICE (two services on the
   // shared pool must not blend each other's tail latencies — same scoping
@@ -292,12 +259,6 @@ class JoinService {
   std::mutex serve_mutex_;  // admits one request at a time (see above)
   mutable std::mutex stats_mutex_;
   ServiceStats stats_;
-  // Schedule state, guarded by stats_mutex_ (schedule() must not block
-  // behind a serving request; the engine swap itself holds serve_mutex_).
-  tune::Schedule schedule_;
-  std::size_t last_tuned_rows_ = 0;  // corpus size when schedule_ was chosen
-  bool retune_enabled_ = false;
-  double retune_factor_ = 4.0;
 };
 
 }  // namespace fasted::service

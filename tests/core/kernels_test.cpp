@@ -33,7 +33,6 @@
 #include "core/kernels/result_sink.hpp"
 #include "data/calibrate.hpp"
 #include "data/generators.hpp"
-#include "tune/schedule.hpp"
 
 namespace fasted {
 namespace {
@@ -282,8 +281,8 @@ TEST(RzDotKernels, RegistryResolvesKnownVariantsOnly) {
 
 TEST(RzDotKernels, RetiredFp16VariantNameIsRejectedAtLoad) {
   // The AVX-512 FP16 variant was retired when the double-domain chain
-  // superseded it.  A persisted schedule or config that still names it must
-  // fail at load, not silently run whichever kernel auto selection picks.
+  // superseded it.  A config that still names it must fail validation, not
+  // silently run whichever kernel auto selection picks.
   // (The name is assembled so that no live reference to it remains.)
   const std::string retired = std::string("avx512") + "fp16";
   EXPECT_FALSE(kernels::KernelRegistry::known_name(retired));
@@ -295,11 +294,6 @@ TEST(RzDotKernels, RetiredFp16VariantNameIsRejectedAtLoad) {
   cfg.rz_kernel = retired;
   EXPECT_THROW(cfg.validate(), CheckError);
   EXPECT_THROW(FastedEngine{cfg}, CheckError);
-
-  tune::Schedule schedule;
-  schedule.kernel = retired;
-  EXPECT_FALSE(schedule.valid(FastedConfig::paper_defaults()));
-  EXPECT_THROW(tune::Schedule::from_json(schedule.json()), CheckError);
 }
 
 TEST(RzDotKernels, ScalarConfigReproducesAutoSelectedJoinExactly) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iterator>
+#include <numeric>
 #include <string>
 
+#include "common/parallel.hpp"
 #include "core/fasted.hpp"
+#include "data/generators.hpp"
+#include "support/scoped_pool.hpp"
 
 namespace fasted {
 namespace {
@@ -173,6 +178,78 @@ TEST(PerfModel, DispatchSquareAblation) {
   cfg.dispatch_square = 8;
   const double s8 = estimate_fasted_kernel(cfg, kN, kD).counters.dram_bytes;
   EXPECT_LT(s8, s2);
+}
+
+// Block tiles the executor drained during `run`, summed over domains.
+template <typename Fn>
+std::uint64_t tiles_drained_by(const Fn& run) {
+  ThreadPool& pool = ThreadPool::global();
+  const auto baseline = pool.domain_load_snapshot();
+  run();
+  const auto loads = pool.domain_loads_since(baseline);
+  return std::accumulate(
+      loads.begin(), loads.end(), std::uint64_t{0},
+      [](std::uint64_t acc, const DomainLoad& l) { return acc + l.total(); });
+}
+
+// The model's block-tile grid is not a free parameter: the executor drains
+// exactly query_tiles x corpus_tiles work items, and the pool's domain
+// load counters record every one.  Pin the prediction to the recorded
+// counters on a fixed small corpus.
+TEST(PerfModel, ModelTileGridMatchesRecordedDrainCounters) {
+  test_support::ScopedTopology topo(1);
+  const std::size_t nq = 96, nc = 600, d = 16;
+  const auto corpus = data::uniform(nc, d, 123);
+  const auto queries = data::uniform(nq, d, 124);
+  const FastedConfig cfg = FastedConfig::paper_defaults();
+
+  const PerfEstimate est = estimate_fasted_join_kernel(cfg, nq, nc, d);
+  const std::size_t tm = static_cast<std::size_t>(cfg.block_tile_m);
+  const std::size_t tn = static_cast<std::size_t>(cfg.block_tile_n);
+  EXPECT_EQ(est.query_tiles, (nq + tm - 1) / tm);
+  EXPECT_EQ(est.corpus_tiles, (nc + tn - 1) / tn);
+
+  JoinOptions count_only;
+  count_only.build_result = false;
+  const std::uint64_t drained = tiles_drained_by([&] {
+    FastedEngine(cfg).query_join(PreparedDataset(queries),
+                                 PreparedDataset(corpus), 0.5f, count_only);
+  });
+  EXPECT_EQ(drained,
+            static_cast<std::uint64_t>(est.query_tiles * est.corpus_tiles));
+}
+
+// Same pinning for a hand-built 64x64 tile shape: the smaller tile must
+// multiply the drained-tile count exactly as the model predicts.
+TEST(PerfModel, TunedTileShapeScalesDrainCountersWithModel) {
+  test_support::ScopedTopology topo(1);
+  const std::size_t nq = 128, nc = 512, d = 16;
+  const auto corpus = data::uniform(nc, d, 125);
+  const auto queries = data::uniform(nq, d, 126);
+
+  const FastedConfig base = FastedConfig::paper_defaults();
+  FastedConfig cfg = base;
+  cfg.block_tile_m = 64;
+  cfg.block_tile_n = 64;
+  cfg.warps_per_block = 1;  // one 64x64 warp tile covers the block
+  ASSERT_NO_THROW(cfg.validate());
+
+  const PerfEstimate est = estimate_fasted_join_kernel(cfg, nq, nc, d);
+  EXPECT_EQ(est.query_tiles, (nq + 63) / 64);
+  EXPECT_EQ(est.corpus_tiles, (nc + 63) / 64);
+
+  JoinOptions count_only;
+  count_only.build_result = false;
+  const std::uint64_t drained = tiles_drained_by([&] {
+    FastedEngine(cfg).query_join(PreparedDataset(queries),
+                                 PreparedDataset(corpus), 0.5f, count_only);
+  });
+  EXPECT_EQ(drained,
+            static_cast<std::uint64_t>(est.query_tiles * est.corpus_tiles));
+  // And the model agrees a 64x64 grid has 4x the tiles of the 128x128 one.
+  const PerfEstimate big = estimate_fasted_join_kernel(base, nq, nc, d);
+  EXPECT_EQ(est.query_tiles * est.corpus_tiles,
+            4 * big.query_tiles * big.corpus_tiles);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <limits>
@@ -323,6 +324,53 @@ TEST(GatewayAdmission, RingFullRejectsInsteadOfQueueing) {
   EXPECT_EQ(gateway.try_submit(EpsQuery{MatrixF32(request.points),
                                         request.eps}),
             nullptr);
+}
+
+// Stop racing submissions: clients keep submitting while the main thread
+// stops the gateway.  A submit that passed its stopped-check just before
+// stop() must still get an answer (served, or failed as "gateway
+// stopped"), never a ticket that no dispatcher will complete — its wait()
+// would block forever.  ready() is checked instead of wait(), so a lost
+// ticket fails the test rather than hanging it.
+TEST(GatewayAdmission, StopWhileSubmittingLeavesNoTicketPending) {
+  const auto data = data::uniform(64, 8, 1001);
+  const auto query = data::uniform(1, 8, 1002);
+  auto svc = std::make_shared<JoinService>(test_support::one_shard(data));
+  constexpr std::size_t kClients = 4;
+
+  for (int round = 0; round < 20; ++round) {
+    GatewayOptions gopts;
+    gopts.window_wait = std::chrono::microseconds(50);
+    BatchGateway gateway(svc, gopts);
+    std::atomic<bool> stopped{false};
+    std::vector<std::vector<BatchGateway::TicketPtr>> tickets(kClients);
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        while (!stopped.load()) {
+          auto t = gateway.try_submit(EpsQuery{MatrixF32(query), 0.5f});
+          if (t != nullptr) tickets[c].push_back(std::move(t));
+          std::this_thread::yield();
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    gateway.stop();
+    stopped.store(true);
+    for (std::thread& t : clients) t.join();
+
+    for (std::size_t c = 0; c < kClients; ++c) {
+      for (const auto& t : tickets[c]) {
+        ASSERT_TRUE(t->ready()) << "round " << round << " client " << c;
+        const auto& resp = t->wait();
+        if (resp.state == RequestState::kFailed) {
+          EXPECT_EQ(resp.error, "gateway stopped");
+        } else {
+          EXPECT_EQ(resp.state, RequestState::kDone);
+        }
+      }
+    }
+  }
 }
 
 // Boundary validation at admission: a NaN radius or query rows outside the

@@ -2,8 +2,8 @@
 // pure execution policy, threaded through kernels::KernelContext — so for
 // ANY per-domain kernel assignment (all-scalar, all-best, genuinely mixed
 // per domain), across shard counts, domain counts, and steal modes,
-// through set_schedule AND the gateway's coalesced path, eps-join / kNN /
-// self-join results are BIT-identical.  Every variant computes the same
+// through FastedConfig::rz_kernel AND the gateway's coalesced path,
+// eps-join / kNN / self-join results are BIT-identical.  Every variant computes the same
 // add_rz chain; only throughput may differ.
 //
 // Also the context-isolation regression for the deleted process-global
@@ -27,7 +27,6 @@
 #include "serve/batch_gateway.hpp"
 #include "service/join_service.hpp"
 #include "support/serving.hpp"
-#include "tune/schedule.hpp"
 
 namespace fasted::service {
 namespace {
@@ -38,6 +37,14 @@ using test_support::reference_eps;
 using test_support::reference_knn;
 using test_support::ScopedSteal;
 using test_support::ScopedTopology;
+
+// The selection flows the operator's way: FastedConfig::rz_kernel ->
+// KernelContext, on a service built around that engine.
+FastedEngine engine_with_kernel(const std::string& selection) {
+  FastedConfig cfg = FastedConfig::paper_defaults();
+  cfg.rz_kernel = selection;
+  return FastedEngine(cfg);
+}
 
 // The assignments under test: homogeneous scalar, per-domain best, and a
 // genuinely heterogeneous per-domain split (domain 0 scalar, domain 1 the
@@ -82,12 +89,8 @@ TEST(HeteroKernel, EpsAndKnnBitIdenticalAcrossKernelAssignments) {
           ShardedCorpusOptions opts;
           opts.shards = shards;
           JoinService svc(
-              std::make_shared<ShardedCorpus>(MatrixF32(data), opts));
-          // The selection flows the operator's way: through the schedule
-          // (Schedule::kernel -> FastedConfig::rz_kernel -> KernelContext).
-          tune::Schedule sched = svc.schedule();
-          sched.kernel = selection;
-          svc.set_schedule(sched);
+              std::make_shared<ShardedCorpus>(MatrixF32(data), opts),
+              engine_with_kernel(selection));
           expect_same_eps(eps_expect, svc.eps_join(eps_request), label);
           const KnnBatchResult got = svc.knn(knn_request);
           for (std::size_t q = 0; q < queries.rows(); ++q) {
@@ -151,10 +154,8 @@ TEST(HeteroKernel, CoalescedGatewayBitIdenticalAcrossKernelAssignments) {
     ShardedCorpusOptions opts;
     opts.shards = 3;
     auto svc = std::make_shared<JoinService>(
-        std::make_shared<ShardedCorpus>(MatrixF32(data), opts));
-    tune::Schedule sched = svc->schedule();
-    sched.kernel = selection;
-    svc->set_schedule(sched);
+        std::make_shared<ShardedCorpus>(MatrixF32(data), opts),
+        engine_with_kernel(selection));
 
     serve::GatewayOptions gopts;
     gopts.window_max_requests = kClients;
@@ -205,9 +206,7 @@ TEST(HeteroKernel, SelfJoinBitIdenticalAcrossKernelAssignments) {
     ScopedSteal steal_pin(steal);
     const PreparedShards set = prepare_shards(data, 3);
     for (const std::string& selection : kernel_assignments()) {
-      FastedConfig cfg = FastedConfig::paper_defaults();
-      cfg.rz_kernel = selection;
-      FastedEngine engine(cfg);
+      const FastedEngine engine = engine_with_kernel(selection);
       const JoinOutput got = engine.self_join(set.span(), eps);
       ASSERT_EQ(got.pair_count, expect.pair_count) << selection;
       EXPECT_EQ(got.result.offsets(), expect.result.offsets()) << selection;
@@ -239,9 +238,8 @@ TEST(HeteroKernel, ConcurrentServicesWithDifferentKernelsDoNotInterfere) {
 
   ScopedTopology topo(2);
   const auto make_service = [&](const std::string& selection) {
-    FastedConfig cfg = FastedConfig::paper_defaults();
-    cfg.rz_kernel = selection;
-    return std::make_shared<JoinService>(one_shard(data), FastedEngine(cfg));
+    return std::make_shared<JoinService>(one_shard(data),
+                                         engine_with_kernel(selection));
   };
   auto scalar_svc = make_service("scalar");
   auto best_svc = make_service("auto");

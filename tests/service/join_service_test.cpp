@@ -380,58 +380,6 @@ TEST(JoinService, PhaseLatenciesPopulateWithNonZeroQuantiles) {
   EXPECT_NE(json.find("\"domain_loads\""), std::string::npos);
 }
 
-// Regime retune: a corpus-size drift past the configured factor swaps the
-// engine for the model-predicted best schedule at the new scale — inline,
-// model-only, results unchanged, counted in stats.
-TEST(JoinService, RegimeRetuneFiresOnCorpusGrowthOnly) {
-  const auto seed_rows = data::uniform(200, 8, 71);
-  const auto growth = data::uniform(800, 8, 72);
-  const auto queries = data::uniform(40, 8, 73);
-
-  ShardedCorpusOptions opts;
-  opts.shards = 2;
-  auto corpus = std::make_shared<ShardedCorpus>(MatrixF32(seed_rows), opts);
-  JoinService svc(corpus);
-  svc.enable_regime_retune(true, /*factor=*/2.0);
-
-  EpsQuery eq;
-  eq.points = queries;
-  eq.eps = 0.7f;
-  svc.eps_join(eq);
-  EXPECT_EQ(svc.stats().schedule_retunes, 0u) << "no drift yet";
-
-  corpus->append(growth);  // 200 -> 1000 rows: 5x > factor 2x
-  const std::size_t shards_before = corpus->shard_infos().size();
-  const auto retuned = svc.eps_join(eq);
-  EXPECT_EQ(svc.stats().schedule_retunes, 1u);
-  // The retuned schedule still targets the service's base config and must
-  // not have touched the physical sharding (capacity changes need an
-  // explicit set_schedule with rechunk).
-  EXPECT_TRUE(svc.schedule().valid(FastedConfig::paper_defaults()));
-  EXPECT_EQ(corpus->shard_infos().size(), shards_before);
-
-  // Steady state at the new regime: no further retunes.
-  svc.eps_join(eq);
-  EXPECT_EQ(svc.stats().schedule_retunes, 1u);
-
-  // Results on the retuned engine match the default-schedule engine's.
-  MatrixF32 all(seed_rows.rows() + growth.rows(), seed_rows.dims());
-  std::memcpy(all.row(0), seed_rows.row(0),
-              seed_rows.rows() * seed_rows.stride() * sizeof(float));
-  std::memcpy(all.row(seed_rows.rows()), growth.row(0),
-              growth.rows() * growth.stride() * sizeof(float));
-  const auto expect = test_support::reference_eps(all, queries, eq.eps);
-  ASSERT_EQ(retuned.pair_count, expect.pair_count);
-  for (std::size_t q = 0; q < expect.result.num_queries(); ++q) {
-    const auto a = expect.result.matches_of(q);
-    const auto b = retuned.result.matches_of(q);
-    ASSERT_EQ(b.size(), a.size()) << "query " << q;
-    for (std::size_t r = 0; r < a.size(); ++r) {
-      EXPECT_EQ(b[r].id, a[r].id) << "query " << q;
-    }
-  }
-}
-
 TEST(JoinService, RejectsBadRequests) {
   const auto corpus = data::uniform(50, 8, 64);
   JoinService svc(one_shard(corpus));

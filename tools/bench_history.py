@@ -13,10 +13,10 @@ repo's scaling story lives or dies by).
         [--history BENCH_history.jsonl] [--readme README.md] [--keep 10]
 
 With --large, the million-row tier's numbers (bench_join_throughput
---large) ride along in the same history row: tuned-vs-default speedup and
-the chosen schedule.  Rows written before the large tier existed — or runs
-that skipped it — simply lack those keys and render as "—"; every column
-accessor here must tolerate missing keys for exactly that reason.
+--large) ride along in the same history row: monolithic query-join pairs/s
+on the default config.  Rows written before the large tier existed — or
+runs that skipped it — simply lack those keys and render as "—"; every
+column accessor here must tolerate missing keys for exactly that reason.
 
 CI runs it right after the regression gate; locally, run it after
 refreshing BENCH_baseline.json so the history and the baseline move
@@ -51,9 +51,7 @@ LATENCIES = [
 # Large-tier columns (from BENCH_large.json via --large): header + key into
 # the run's "large" dict.  Old history rows have no "large" dict at all.
 LARGE = [
-    ("1M query pairs/s", "mono_tuned_pairs_per_s"),
-    ("tuned/default", "tuned_over_default_mono"),
-    ("tuned schedule", "schedule"),
+    ("1M query pairs/s", "mono_default_pairs_per_s"),
 ]
 
 
@@ -94,19 +92,9 @@ def flatten_latencies(bench):
 def flatten_large(large):
     """The large-tier fields for one run's "large" dict, all optional."""
     out = {}
-    entry = lookup(large, "large_query_join.mono_tuned")
+    entry = lookup(large, "large_query_join.mono_default")
     if isinstance(entry, dict) and "pairs_per_s" in entry:
-        out["mono_tuned_pairs_per_s"] = entry["pairs_per_s"]
-    ratio = lookup(large, "large_query_join.tuned_over_default_mono")
-    if isinstance(ratio, (int, float)):
-        out["tuned_over_default_mono"] = ratio
-    sched = lookup(large, "autotune.schedule")
-    if isinstance(sched, dict):
-        out["schedule"] = "{}x{} {}{}".format(
-            sched.get("tile_m", "?"), sched.get("tile_n", "?"),
-            sched.get("policy", "?"),
-            " s%s" % sched["square"] if sched.get("policy") == "squares"
-            and "square" in sched else "")
+        out["mono_default_pairs_per_s"] = entry["pairs_per_s"]
     cfg = large.get("config", {})
     if isinstance(cfg, dict) and "corpus_n" in cfg:
         out["corpus_n"] = cfg["corpus_n"]
@@ -136,16 +124,6 @@ def fmt_latency_ms(ns):
     return f"{ns / 1e6:.2f}" if ns is not None else "—"
 
 
-def fmt_large(key, value):
-    if value is None:
-        return "—"
-    if key == "mono_tuned_pairs_per_s":
-        return fmt_rate(value)
-    if key == "tuned_over_default_mono":
-        return f"{value:.2f}x"
-    return str(value)
-
-
 def render_table(runs):
     header = ["run", "kernel"]
     header += [name for name, _ in COLUMNS]
@@ -166,7 +144,7 @@ def render_table(runs):
                 for _, slow, fast in OVERHEADS]
         row += [fmt_latency_ms(lats.get(path + "." + field))
                 for _, path, field in LATENCIES]
-        row += [fmt_large(key, large.get(key)) for _, key in LARGE]
+        row += [fmt_rate(large.get(key)) for _, key in LARGE]
         lines.append("| " + " | ".join(row) + " |")
     lines.append("")
     lines.append("*pairs/s on the dispatched SIMD kernel; overheads compare "
